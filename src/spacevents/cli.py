@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -87,15 +86,12 @@ def _parse_sample(pairs: list[str]) -> dict[str, float]:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = os.cpu_count() or 1
     return RunConfig(
         threshold=getattr(args, "threshold", DEFAULT_THRESHOLD),
         unseen_fraction=getattr(args, "unseen_fraction", DEFAULT_UNSEEN_FRACTION),
         sample=_parse_sample(getattr(args, "sample", []) or []),
         seed=getattr(args, "seed", 0),
-        workers=workers,
+        workers=getattr(args, "workers", 1),
     )
 
 
@@ -104,6 +100,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})")
 
 
 def _read_documents(path: str, fmt: str | None):
@@ -350,7 +348,13 @@ def _add_extract_inputs(sub) -> None:
     sub.add_argument("--rules", help="rule file (default: packaged reference rules)")
     sub.add_argument("--gazetteer", help="gazetteer TSV (default: packaged gazetteer)")
     sub.add_argument("--index", help="prebuilt index file to narrow the scan")
-    sub.add_argument("--workers", type=int, help="worker threads (default: CPU count)")
+    _add_workers(sub)
+
+
+def _add_workers(sub) -> None:
+    sub.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; runs are serial"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("index", help="build and save the inverted index")
     _add_corpus(sub)
     sub.add_argument("--index", required=True, help="output index file")
-    sub.add_argument("--workers", type=int, help="worker threads (default: CPU count)")
+    _add_workers(sub)
     sub.set_defaults(func=_cmd_index)
 
     sub = commands.add_parser("extract", help="run the rules and emit events")

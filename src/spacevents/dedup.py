@@ -12,8 +12,9 @@ near-duplicate useless on dev or test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .documents import Document
@@ -27,6 +28,10 @@ DEFAULT_UNSEEN_FRACTION = 0.41
 class TermVector:
     doc_id: str
     counts: Mapping[str, int]
+    norm: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm", math.sqrt(sum(c * c for c in self.counts.values())))
 
 
 def unigram_vector(doc: Document) -> TermVector:
@@ -36,15 +41,17 @@ def unigram_vector(doc: Document) -> TermVector:
     are not counted; a document with nothing countable is an error
     because cosine similarity would be undefined for it.
     """
-    counts: Counter[str] = Counter()
-    for sent in doc.sentences:
-        for tok in sent.tokens:
-            term = tok.surface.lower()
-            if any(ch.isalnum() for ch in term):
-                counts[term] += 1
+    surfaces = Counter(tok.surface for sent in doc.sentences for tok in sent.tokens)
+    counts: dict[str, int] = {}
+    for surface, n in surfaces.items():
+        term = surface.lower()
+        if term == surface:
+            term = surface  # keep the token's string rather than a copy of it
+        if any(ch.isalnum() for ch in term):
+            counts[term] = counts.get(term, 0) + n
     if not counts:
         raise InputError(f"document {doc.id!r} has no countable tokens")
-    return TermVector(doc_id=doc.id, counts=dict(counts))
+    return TermVector(doc_id=doc.id, counts=counts)
 
 
 def cosine_similarity(a: TermVector, b: TermVector) -> float:
@@ -54,9 +61,7 @@ def cosine_similarity(a: TermVector, b: TermVector) -> float:
     dot = sum(count * large.get(term, 0) for term, count in small.items())
     if dot == 0:
         return 0.0
-    norm_a = math.sqrt(sum(c * c for c in a.counts.values()))
-    norm_b = math.sqrt(sum(c * c for c in b.counts.values()))
-    return dot / (norm_a * norm_b)
+    return dot / (a.norm * b.norm)
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,59 @@ class PoolAssignment:
         return {pool: sorted(ids) for pool, ids in sorted(members.items())}
 
 
+# Pruning compares against threshold - _PRUNE_MARGIN, so float rounding in
+# a bound can only let a pair through to the exact cosine, never drop one.
+_PRUNE_MARGIN = 1e-9
+
+
+def _prefix(
+    counts: Mapping[str, int], rank: Mapping[str, int], floor: float
+) -> tuple[list[str], list[int]]:
+    """A vector's prefix terms in global rank order, and the weight left at each.
+
+    The prefix is the shortest leading run of terms (at least one) after
+    which less than ``floor**2`` of the squared norm is left.  ``left[k]``
+    is the exact squared weight of the vector's terms from prefix position
+    ``k`` on, so ``left[-1]`` is what the prefix leaves out.
+    """
+    terms = sorted(counts, key=rank.__getitem__)
+    remaining = sum(c * c for c in counts.values())
+    limit = floor * floor * remaining
+    left = [remaining]
+    for term in terms:
+        remaining -= counts[term] ** 2
+        left.append(remaining)
+        if remaining < limit:
+            break
+    return terms[: len(left) - 1], left
+
+
 def pool_duplicates(
     docs: Sequence[Document], threshold: float = DEFAULT_THRESHOLD
 ) -> PoolAssignment:
     """Group documents into near-duplicate pools (transitive closure).
 
-    Candidate pairs are restricted to documents sharing at least one
-    term, which prunes nothing semantically: a pair with no shared term
-    has similarity 0 and can never exceed the threshold.
+    Every pair that can still exceed the threshold is decided by
+    ``cosine_similarity(a, b) > threshold``, so the pools equal those of
+    scoring all pairs.  The rest are pruned with the L2 prefix bounds of
+    L2AP (Anastasiu & Karypis, ICDE 2014), which refine the prefix filter
+    of AllPairs (Bayardo, Ma & Srikant, WWW 2007).  With ``t = threshold
+    - margin`` and terms ranked rarest first (document frequency, then the
+    term itself):
+
+    * A vector's prefix is its shortest leading run of terms whose
+      left-over squared weight is below ``t**2 * |x|**2``.  If two
+      vectors share no prefix term, all their shared terms lie past the
+      prefix of one of them, so by Cauchy-Schwarz their cosine is below
+      ``t``.  Only prefix terms are indexed and probed.
+    * The dot product of a candidate pair is what its shared prefix terms
+      contribute plus at most ``|x_>r| * |y_>r|``, the norms of both
+      vectors' terms ranked after ``r``, the earlier of the two prefix
+      ends.  A pair whose bound is below ``t * |x| * |y|`` is skipped.
+
+    The bounds use exact integer sums of squared counts, and the margin
+    (``_PRUNE_MARGIN``) is far wider than the float rounding in comparing
+    them, so a pair is pruned only when its exact cosine is below ``t``.
     """
     if not 0.0 < threshold <= 1.0:
         raise InputError(f"threshold must be in (0, 1], got {threshold}")
@@ -109,20 +159,37 @@ def pool_duplicates(
         if ri != rj:
             parent[rj] = ri
 
-    by_term: dict[str, list[int]] = defaultdict(list)
+    df = Counter(term for vec in vectors for term in vec.counts)
+    rank = {term: r for r, term in enumerate(sorted(df, key=lambda term: (df[term], term)))}
+    del df
+    floor = max(threshold - _PRUNE_MARGIN, 0.0)
+    # prefix term -> [vector, count, vector, count, ...], flat to stay small
+    index: dict[str, list[int]] = defaultdict(list)
+    tails: list[tuple[list[int], list[int]]] = []  # per vector: prefix ranks, weight left
     for i, vec in enumerate(vectors):
-        for term in vec.counts:
-            by_term[term].append(i)
-
-    for i, vec in enumerate(vectors):
-        candidates: set[int] = set()
-        for term in vec.counts:
-            candidates.update(by_term[term])
-        for j in candidates:
-            if j <= i or find(i) == find(j):
+        terms, left = _prefix(vec.counts, rank, floor)
+        ranks = [rank[term] for term in terms]
+        shared: dict[int, int] = defaultdict(int)  # vector -> dot over shared prefix terms
+        for term in terms:
+            weight = vec.counts[term]
+            postings = iter(index.get(term, ()))
+            for j, count in zip(postings, postings):
+                shared[j] += weight * count
+        for j, dot in shared.items():
+            if find(i) == find(j):
+                continue
+            other_ranks, other_left = tails[j]
+            r = min(ranks[-1], other_ranks[-1])
+            # squared weight ranked after r, in each vector
+            after = left[bisect_right(ranks, r)]
+            other_after = other_left[bisect_right(other_ranks, r)]
+            if dot + math.sqrt(after * other_after) < floor * vec.norm * vectors[j].norm:
                 continue
             if cosine_similarity(vec, vectors[j]) > threshold:
                 union(i, j)
+        for term in terms:
+            index[term] += (i, vec.counts[term])
+        tails.append((ranks, left))
 
     groups: dict[int, list[str]] = defaultdict(list)
     for i, doc_id in enumerate(ids):

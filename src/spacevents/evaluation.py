@@ -382,13 +382,21 @@ def score_slots(
         SlotScore(event_type, label, *counts[(event_type, label)])
         for event_type, label in keys
     )
-    micro = []
-    for slot in GENERIC_SLOTS:
+    micro = tuple(_pooled_scores(counts, GENERIC_SLOTS).values())
+    return EvalReport(rows=rows, micro=micro)
+
+
+def _pooled_scores(
+    counts: Mapping[tuple[str, str], Sequence[int]], slots: Sequence[str]
+) -> dict[str, SlotScore]:
+    """TP/FP/FN summed over every event type, for each of ``slots``."""
+    out: dict[str, SlotScore] = {}
+    for slot in slots:
         tp = sum(c[0] for (et, lb), c in counts.items() if lb == slot)
         fp = sum(c[1] for (et, lb), c in counts.items() if lb == slot)
         fn = sum(c[2] for (et, lb), c in counts.items() if lb == slot)
-        micro.append(SlotScore("ALL", slot, tp, fp, fn))
-    return EvalReport(rows=rows, micro=tuple(micro))
+        out[slot] = SlotScore("ALL", slot, tp, fp, fn)
+    return out
 
 
 def micro_average(
@@ -397,14 +405,7 @@ def micro_average(
     slots: Sequence[str] = GENERIC_SLOTS,
 ) -> dict[str, SlotScore]:
     """Pool TP/FP/FN across event types for the given slots."""
-    counts = _tally(gold, pred)
-    out: dict[str, SlotScore] = {}
-    for slot in slots:
-        tp = sum(c[0] for (et, lb), c in counts.items() if lb == slot)
-        fp = sum(c[1] for (et, lb), c in counts.items() if lb == slot)
-        fn = sum(c[2] for (et, lb), c in counts.items() if lb == slot)
-        out[slot] = SlotScore("ALL", slot, tp, fp, fn)
-    return out
+    return _pooled_scores(_tally(gold, pred), slots)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ same corpus always serializes to the same bytes.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -59,15 +58,14 @@ def _doc_terms(doc: Document) -> set[tuple[str, str]]:
 
 
 def build_index(docs: Sequence[Document], workers: int = 1) -> InvertedIndex:
-    """Index every token's lowercased surface and lemma, per sentence."""
+    """Index every token's lowercased surface and lemma, per sentence.
+
+    ``workers`` is accepted for compatibility and ignored: the build is
+    pure-Python work, which threads only slow down.
+    """
     raw: dict[str, list[Ref]] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_doc = list(pool.map(_doc_terms, docs))
-    else:
-        per_doc = [_doc_terms(doc) for doc in docs]
-    for doc, pairs in zip(docs, per_doc):
-        for term, sent_id in pairs:
+    for doc in docs:
+        for term, sent_id in _doc_terms(doc):
             raw.setdefault(term, []).append((doc.id, sent_id))
     postings = {term: tuple(sorted(set(refs))) for term, refs in raw.items()}
     return InvertedIndex(postings=postings)
@@ -153,14 +151,21 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        data = self.take(self.u16())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputError("index file holds a string that is not UTF-8")
 
     def done(self) -> bool:
         return self._pos == len(self._data)
 
 
 def load_index(path) -> InvertedIndex:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
     reader = _Reader(data)
     if reader.take(len(MAGIC)) != MAGIC:
         raise InputError(f"{path}: not an index file (bad magic)")

@@ -17,7 +17,6 @@ path cannot fill a slot with the trigger itself.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -260,7 +259,9 @@ def extract_events(
     result is identical to the full scan because candidate sets are
     supersets of the matching sentences.  The NER layer is evaluated
     once per visited sentence.  Output order is (doc id, sentence id,
-    rule name, trigger span), so worker count cannot change the result.
+    rule name, trigger span).  ``workers`` is accepted for compatibility
+    and ignored: matching is pure-Python work, which threads only slow
+    down.
     """
     rules = list(rules)
     ner_fn: NerLayer = ner if ner is not None else (lambda sentence: ())
@@ -287,12 +288,7 @@ def extract_events(
             events.extend(_tier_filter(found))
         return events
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_doc = list(pool.map(run_doc, docs))
-    else:
-        per_doc = [run_doc(doc) for doc in docs]
-    events = [ev for chunk in per_doc for ev in chunk]
+    events = [ev for doc in docs for ev in run_doc(doc)]
     events.sort(key=_event_order)
     return events
 

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spacevents
 from spacevents import ANNOTATION_HEADER, parse_jsonl_documents, serialize_jsonl_documents
 from spacevents.cli import main
 from spacevents.errors import SpaceventsError
@@ -275,6 +280,41 @@ def test_missing_file_is_an_input_error():
     assert err.startswith("error: cannot read")
 
 
+def test_non_utf8_text_inputs_are_input_errors(tmp_path):
+    bad = tmp_path / "latin1.conllu"
+    bad.write_bytes(b"# newdoc id = caf\xe9\n")
+    cases = [
+        ("extract", "--corpus", str(bad)),
+        ("extract", "--corpus", CORPUS, "--rules", str(bad)),
+        ("ner", "--corpus", CORPUS, "--gazetteer", str(bad)),
+        ("stats", "--annotations", str(bad)),
+        ("score", "--gold", str(bad), "--pred", str(bad)),
+    ]
+    for argv in cases:
+        code, _, err = run(*argv)
+        assert code == 1, argv
+        assert err.startswith(f"error: {bad}: not UTF-8 text"), argv
+
+
+def test_missing_or_unreadable_index_is_an_input_error(tmp_path):
+    for index_path in (tmp_path / "missing.idx", tmp_path):
+        code, _, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
+        assert code == 1
+        assert err.startswith(f"error: cannot read {index_path}")
+
+
+def test_non_utf8_string_inside_index_is_an_input_error(tmp_path):
+    index_path = tmp_path / "corpus.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
+    data = bytearray(index_path.read_bytes())
+    # magic (6) + version (2) + ref count (4) + first doc id length (2)
+    data[14] = 0xFF
+    index_path.write_bytes(bytes(data))
+    code, _, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
+    assert code == 1
+    assert "not UTF-8" in err
+
+
 def test_malformed_corpus_reports_line(tmp_path):
     bad = tmp_path / "bad.conllu"
     bad.write_text("# newdoc id = d\n# sent_id = s\n1\tword\n", encoding="utf-8")
@@ -324,3 +364,21 @@ def test_broken_pipe_exits_cleanly():
 
     code, _, _ = run("extract", "--corpus", CORPUS, "--workers", "1", stdout=ClosedPipe())
     assert code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(spacevents.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["extract", "--corpus", CORPUS]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spacevents", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(*argv)[1]
+    usage = subprocess.run(
+        [sys.executable, "-m", "spacevents", "no-such-command"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert usage.returncode == 1
+    assert "usage: spacevents" in usage.stderr

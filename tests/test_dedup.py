@@ -4,6 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
+import spacevents.dedup
 from spacevents import (
     Document,
     TermVector,
@@ -115,15 +116,15 @@ def test_documents_without_shared_terms_stay_singletons():
 
 
 def test_pools_match_brute_force_on_random_corpora():
-    for seed in (11, 42, 303):
-        rng = random.Random(seed)
-        docs = dedup_corpus(rng, 60)
-        assignment = pool_duplicates(docs, threshold=0.9)
-        expected_pools, pairs = brute_force_pools(docs, 0.9)
-        assert assignment.pool_of == expected_pools
-        # every above-threshold pair really shares a pool
-        for left, right in pairs:
-            assert assignment.pool_of[left] == assignment.pool_of[right]
+    for seed in (11, 42, 303, 3, 17, 29):
+        docs = dedup_corpus(random.Random(seed), 60)
+        for threshold in (0.5, 0.9, 0.99, 1.0):
+            assignment = pool_duplicates(docs, threshold=threshold)
+            expected_pools, pairs = brute_force_pools(docs, threshold)
+            assert assignment.pool_of == expected_pools
+            # every above-threshold pair really shares a pool
+            for left, right in pairs:
+                assert assignment.pool_of[left] == assignment.pool_of[right]
 
 
 def test_assign_splits_alternates_newest_first():
@@ -205,3 +206,46 @@ def test_split_for_default_and_pools_listing():
     # pooled but no splits drawn yet
     assert assignment.split_for("da") == "unassigned"
     assert assignment.pools() == {"da": ["da", "db", "dc"]}
+
+
+def test_term_vector_norm_matches_recomputed_value():
+    vectors = [TermVector("h", {"x": 1, "y": 2}), TermVector("e", {})]
+    vectors += [unigram_vector(doc) for doc in dedup_corpus(random.Random(5), 20)]
+    for vec in vectors:
+        assert vec.norm == math.sqrt(sum(c * c for c in vec.counts.values()))
+
+
+def test_threshold_equal_to_a_pairs_cosine_keeps_it_apart():
+    # Strict ">" at the boundary: the pruning margin must never drop a pair
+    # whose exact cosine sits one ulp above the threshold.
+    docs = dedup_corpus(random.Random(13), 30)
+    vectors = [unigram_vector(doc) for doc in docs]
+    checked = 0
+    for i, a in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            c = cosine_similarity(a, vectors[j])
+            if c <= 0.5:
+                continue
+            pair = [docs[i], docs[j]]
+            apart = pool_duplicates(pair, threshold=c).pool_of
+            assert apart == {a.doc_id: a.doc_id, vectors[j].doc_id: vectors[j].doc_id}
+            joined = pool_duplicates(pair, threshold=math.nextafter(c, 0)).pool_of
+            assert set(joined.values()) == {min(a.doc_id, vectors[j].doc_id)}
+            checked += 1
+    assert checked >= 5, "corpus generator drifted: too few similar pairs"
+
+
+def test_pooling_scores_fewer_pairs_than_all(monkeypatch):
+    # Pairs are scored through the module attribute, so a wrapper counts them.
+    scored = []
+    original = spacevents.dedup.cosine_similarity
+
+    def counting(a, b):
+        scored.append((a.doc_id, b.doc_id))
+        return original(a, b)
+
+    monkeypatch.setattr(spacevents.dedup, "cosine_similarity", counting)
+    docs = dedup_corpus(random.Random(42), 60)
+    assignment = pool_duplicates(docs, threshold=0.9)
+    assert assignment.pool_of == brute_force_pools(docs, 0.9)[0]
+    assert 0 < len(scored) < len(docs) * (len(docs) - 1) // 2 // 2
