@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -104,11 +105,23 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})")
 
 
-def _read_documents(path: str, fmt: str | None):
+def _parse_documents(path: str, fmt: str | None):
     if fmt is None:
         fmt = "conllu" if path.endswith(".conllu") else "jsonl"
     text = _read_text(path)
     return parse_conllu(text) if fmt == "conllu" else parse_jsonl_documents(text)
+
+
+def _read_documents(path: str, fmt: str | None):
+    # output is keyed by (document id, sentence id), so a repeated document
+    # id would mislabel it; only ``validate`` reads such a corpus, to report it
+    docs = _parse_documents(path, fmt)
+    seen: set[str] = set()
+    for doc in docs:
+        if doc.id in seen:
+            raise InputError(f"{path}: duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+    return docs
 
 
 def _packaged(name: str) -> str:
@@ -142,7 +155,7 @@ def _cmd_ingest(args, out, err) -> int:
 
 
 def _cmd_validate(args, out, err) -> int:
-    docs = _read_documents(args.corpus, args.format)
+    docs = _parse_documents(args.corpus, args.format)
     report = validate_corpus(docs)
     for issue in report.issues:
         print(str(issue), file=err)
@@ -428,7 +441,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .documents import Document
 from .errors import InputError

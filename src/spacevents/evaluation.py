@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from .documents import SPLITS
 from .errors import InputError, SchemaError
 from .schemas import SCHEMAS, EventSchema
 
@@ -421,7 +422,7 @@ class StatsRow:
     total_tokens: int
 
 
-_SPLIT_ORDER = {name: i for i, name in enumerate(("train", "dev", "test", "unseen", "unassigned"))}
+_SPLIT_ORDER = {name: i for i, name in enumerate(SPLITS)}
 
 
 def corpus_stats(annotations: Sequence[SentenceAnnotation]) -> list[StatsRow]:

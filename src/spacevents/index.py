@@ -1,11 +1,11 @@
 """Field-tagged inverted index over sentences, with a small binary file format.
 
-Terms are ``surface:<lowercased form>`` and ``lemma:<lemma as written>``;
-postings are sorted, duplicate-free tuples of (document id, sentence id).
-Because a rule trigger must keep a positive surface or lemma atom in
-every alternative, intersecting/uniting the postings those atoms imply
-yields a superset of the sentences the trigger can match, which is what
-lets extraction skip almost the whole corpus.
+Terms are spelled by ``index_term``: ``surface:<lowercased form>`` and
+``lemma:<lemma as written>``; postings are sorted, duplicate-free tuples
+of (document id, sentence id).  ``Rule`` guarantees every trigger
+alternative an indexable atom (see ``rules``), so the postings of those
+atoms bound the sentences a trigger can match, which is what lets
+extraction skip almost the whole corpus.
 
 On-disk layout, all integers little-endian:
 
@@ -23,13 +23,14 @@ same corpus always serializes to the same bytes.
 from __future__ import annotations
 
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .documents import Document
-from .errors import InputError, RuleError
-from .rules import Rule
+from .errors import InputError
+from .rules import Atom, Rule
 
 MAGIC = b"SEVIDX"
 VERSION = 1
@@ -48,13 +49,9 @@ class InvertedIndex:
         return len(self.postings)
 
 
-def _doc_terms(doc: Document) -> set[tuple[str, str]]:
-    pairs: set[tuple[str, str]] = set()
-    for sent in doc.sentences:
-        for tok in sent.tokens:
-            pairs.add((f"surface:{tok.surface.lower()}", sent.id))
-            pairs.add((f"lemma:{tok.lemma}", sent.id))
-    return pairs
+def index_term(field: str, value: str) -> str:
+    """The index term for a ``surface`` or ``lemma`` value."""
+    return f"surface:{value.lower()}" if field == "surface" else f"lemma:{value}"
 
 
 def build_index(docs: Sequence[Document], workers: int = 1) -> InvertedIndex:
@@ -63,11 +60,14 @@ def build_index(docs: Sequence[Document], workers: int = 1) -> InvertedIndex:
     ``workers`` is accepted for compatibility and ignored: the build is
     pure-Python work, which threads only slow down.
     """
-    raw: dict[str, list[Ref]] = {}
+    raw: defaultdict[str, set[Ref]] = defaultdict(set)
     for doc in docs:
-        for term, sent_id in _doc_terms(doc):
-            raw.setdefault(term, []).append((doc.id, sent_id))
-    postings = {term: tuple(sorted(set(refs))) for term, refs in raw.items()}
+        for sent in doc.sentences:
+            ref = (doc.id, sent.id)
+            for tok in sent.tokens:
+                raw[index_term("surface", tok.surface)].add(ref)
+                raw[index_term("lemma", tok.lemma)].add(ref)
+    postings = {term: tuple(sorted(refs)) for term, refs in raw.items()}
     return InvertedIndex(postings=postings)
 
 
@@ -76,34 +76,19 @@ def candidate_sentences(index: InvertedIndex, rule: Rule) -> set[Ref]:
 
     Each bracket of the trigger narrows the candidate set (a matching
     sentence must contain a token for every bracket); within a bracket,
-    alternatives widen it and each alternative contributes the postings
-    of its positive surface/lemma atoms.
+    alternatives widen it, and each alternative is the intersection of
+    the postings of its indexable atoms.
     """
-    result: set[Ref] | None = None
-    for pattern in rule.trigger:
-        pattern_refs: set[Ref] = set()
-        for branch in pattern.branches:
-            branch_refs: set[Ref] | None = None
-            for atom in branch:
-                if atom.negated or atom.field not in ("surface", "lemma"):
-                    continue
-                atom_refs: set[Ref] = set()
-                for literal in atom.values:
-                    if atom.field == "surface":
-                        term = f"surface:{literal.lower()}"
-                    else:
-                        term = f"lemma:{literal}"
-                    atom_refs.update(index.refs(term))
-                branch_refs = (
-                    atom_refs if branch_refs is None else branch_refs & atom_refs
-                )
-            if branch_refs is None:
-                raise RuleError(
-                    f"rule {rule.name!r}: trigger alternative has no indexable atom"
-                )
-            pattern_refs |= branch_refs
-        result = pattern_refs if result is None else result & pattern_refs
-    return result if result is not None else set()
+
+    def atom_refs(atom: Atom) -> set[Ref]:
+        return set().union(*(index.refs(index_term(atom.field, v)) for v in atom.values))
+
+    def branch_refs(branch: tuple[Atom, ...]) -> set[Ref]:
+        return set.intersection(*(atom_refs(atom) for atom in branch if atom.indexable))
+
+    return set.intersection(
+        *(set().union(*map(branch_refs, pattern.branches)) for pattern in rule.trigger)
+    )
 
 
 def save_index(index: InvertedIndex, path) -> None:

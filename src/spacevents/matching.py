@@ -17,14 +17,14 @@ path cannot fill a slot with the trigger itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from .documents import ROOT, Document, Sentence
 from .errors import InputError
 from .gazetteer import Mention
-from .index import InvertedIndex, candidate_sentences
-from .rules import DepPathStep, Rule, SlotPattern, TokenPattern
+from .index import InvertedIndex, Ref, candidate_sentences
+from .rules import DepPathStep, Rule, TokenPattern
 
 # POS tags the fallback chunker treats as noun-phrase material; covers the
 # universal tagset and the Penn Treebank equivalents.
@@ -265,20 +265,16 @@ def extract_events(
     """
     rules = list(rules)
     ner_fn: NerLayer = ner if ner is not None else (lambda sentence: ())
-    plan: dict[str, dict[str, list[Rule]]] | None = None
+    todo_at: dict[Ref, list[Rule]] | None = None
     if index is not None:
-        plan = {}
+        todo_at = {}
         for rule in rules:
-            for doc_id, sent_id in candidate_sentences(index, rule):
-                plan.setdefault(doc_id, {}).setdefault(sent_id, []).append(rule)
-
-    def run_doc(doc: Document) -> list[EventMention]:
-        doc_plan = plan.get(doc.id) if plan is not None else None
-        if plan is not None and not doc_plan:
-            return []
-        events: list[EventMention] = []
+            for ref in candidate_sentences(index, rule):
+                todo_at.setdefault(ref, []).append(rule)
+    events: list[EventMention] = []
+    for doc in docs:
         for sent in doc.sentences:
-            todo = rules if doc_plan is None else doc_plan.get(sent.id, [])
+            todo = rules if todo_at is None else todo_at.get((doc.id, sent.id))
             if not todo:
                 continue
             mentions = list(ner_fn(sent))
@@ -286,9 +282,6 @@ def extract_events(
             for rule in todo:
                 found.extend(match_rule(rule, sent, mentions, doc_id=doc.id))
             events.extend(_tier_filter(found))
-        return events
-
-    events = [ev for doc in docs for ev in run_doc(doc)]
     events.sort(key=_event_order)
     return events
 

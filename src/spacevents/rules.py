@@ -21,7 +21,9 @@ contiguous token runs.  Inside a bracket, atoms test one field
 (``surface``, ``lemma``, ``pos``, ``ner``) against one or more literals
 (``lemma=fail|failure``), combine with ``&``, alternate with ``|``, and
 negate with ``!``.  Every alternative must keep at least one positive
-``surface`` or ``lemma`` atom so the trigger stays indexable.
+``surface`` or ``lemma`` atom so the trigger stays indexable.  ``Rule``
+checks this and the slot and tier rules below on construction, so rules
+built in code are validated like parsed ones.
 
 Slot paths walk dependency edges from the trigger: ``>label`` follows an
 outgoing edge, ``<label`` the incoming one, labels alternate with ``|``,
@@ -33,7 +35,6 @@ entity fillers everywhere and must mark the event's anchor slot required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import RuleError
 from .schemas import ANCHOR_SLOTS, EVENT_TYPES
@@ -47,6 +48,11 @@ class Atom:
     field: str
     values: tuple[str, ...]
     negated: bool = False
+
+    @property
+    def indexable(self) -> bool:
+        """Whether the index can list every sentence this atom can match."""
+        return not self.negated and self.field in ("surface", "lemma")
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,49 @@ class SlotPattern:
 
 @dataclass(frozen=True)
 class Rule:
+    """One rule, validated on construction; an invalid rule raises ``RuleError``."""
+
     name: str
     event_type: str
     tier: str
     trigger: tuple[TokenPattern, ...]
     slots: tuple[SlotPattern, ...]
+
+    def __post_init__(self):
+        if not self.trigger:
+            raise RuleError(
+                f"rule {self.name!r}: trigger needs at least one [token pattern]"
+            )
+        for pattern in self.trigger:
+            for branch in pattern.branches:
+                if all(atom.negated for atom in branch):
+                    raise RuleError(
+                        f"rule {self.name!r}: trigger alternative has no positive atom"
+                    )
+                if not any(atom.indexable for atom in branch):
+                    raise RuleError(
+                        f"rule {self.name!r}: trigger is not indexable "
+                        "(every alternative needs a positive surface or lemma atom)"
+                    )
+        seen_slots: set[str] = set()
+        for slot in self.slots:
+            if slot.name in seen_slots:
+                raise RuleError(f"rule {self.name!r}: duplicate slot {slot.name!r}")
+            seen_slots.add(slot.name)
+        if self.tier == "high":
+            for slot in self.slots:
+                if slot.is_chunk:
+                    raise RuleError(
+                        f"rule {self.name!r}: high tier requires entity fillers, "
+                        f"slot {slot.name!r} uses a chunk"
+                    )
+            anchors = ANCHOR_SLOTS[self.event_type]
+            required = {slot.name for slot in self.slots if slot.required}
+            if not required.intersection(anchors):
+                raise RuleError(
+                    f"rule {self.name!r}: high tier must require one of "
+                    f"{', '.join(anchors)} for {self.event_type}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +315,10 @@ class _Parser:
                         col=tok.col,
                     )
                 while self.at_punct("["):
-                    patterns.append(self.parse_token_pattern(name))
+                    patterns.append(self.parse_token_pattern())
                 trigger = tuple(patterns)
             elif clause.value == "slot":
-                slots.append(self.parse_slot(name))
+                slots.append(self.parse_slot())
             else:
                 raise RuleError(
                     f"unknown clause {clause.value!r} in rule {name!r}",
@@ -285,17 +329,15 @@ class _Parser:
         for label, value in (("event", event), ("tier", tier), ("trigger", trigger)):
             if value is None:
                 raise RuleError(f"rule {name!r} is missing its {label} clause")
-        rule = Rule(
+        return Rule(
             name=name,
             event_type=event,
             tier=tier,
             trigger=trigger,
             slots=tuple(slots),
         )
-        _check_rule(rule)
-        return rule
 
-    def parse_token_pattern(self, rule_name: str) -> TokenPattern:
+    def parse_token_pattern(self) -> TokenPattern:
         self.expect_punct("[")
         branches = [self.parse_conjunction()]
         while self.at_punct("|"):
@@ -348,7 +390,7 @@ class _Parser:
             )
         return tok.value
 
-    def parse_slot(self, rule_name: str) -> SlotPattern:
+    def parse_slot(self) -> SlotPattern:
         name = self.expect_word("slot name")
         mode = self.expect_word("'required' or 'optional'")
         if mode.value not in ("required", "optional"):
@@ -415,42 +457,6 @@ class _Parser:
             entity_types=entity_types,
             required=mode.value == "required",
         )
-
-
-def _check_rule(rule: Rule) -> None:
-    for pattern in rule.trigger:
-        for branch in pattern.branches:
-            if all(atom.negated for atom in branch):
-                raise RuleError(
-                    f"rule {rule.name!r}: trigger alternative has no positive atom"
-                )
-            if not any(
-                not atom.negated and atom.field in ("surface", "lemma")
-                for atom in branch
-            ):
-                raise RuleError(
-                    f"rule {rule.name!r}: trigger is not indexable "
-                    "(every alternative needs a positive surface or lemma atom)"
-                )
-    seen_slots: set[str] = set()
-    for slot in rule.slots:
-        if slot.name in seen_slots:
-            raise RuleError(f"rule {rule.name!r}: duplicate slot {slot.name!r}")
-        seen_slots.add(slot.name)
-    if rule.tier == "high":
-        for slot in rule.slots:
-            if slot.is_chunk:
-                raise RuleError(
-                    f"rule {rule.name!r}: high tier requires entity fillers, "
-                    f"slot {slot.name!r} uses a chunk"
-                )
-        anchors = ANCHOR_SLOTS[rule.event_type]
-        required = {slot.name for slot in rule.slots if slot.required}
-        if not required.intersection(anchors):
-            raise RuleError(
-                f"rule {rule.name!r}: high tier must require one of "
-                f"{', '.join(anchors)} for {rule.event_type}"
-            )
 
 
 def parse_rules(source) -> list[Rule]:

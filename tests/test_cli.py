@@ -109,6 +109,21 @@ def test_validate_ok_and_broken(tmp_path):
     assert "1 issues found" in err
 
 
+def test_duplicate_document_ids_are_an_input_error(tmp_path):
+    # both documents are named d1 and both hold a sentence s1 with an event
+    corpus = tmp_path / "dup.conllu"
+    corpus.write_text(
+        Path(CORPUS).read_text(encoding="utf-8").replace("newdoc id = d2", "newdoc id = d1"),
+        encoding="utf-8",
+    )
+    for command in ("extract", "export-annotation"):
+        code, out, err = run(command, "--corpus", str(corpus))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "duplicate document id 'd1'" in err
+
+
 def test_dedup_assigns_pools_and_splits():
     code, out, err = run("dedup", "--corpus", CORPUS)
     assert code == 0
@@ -269,7 +284,9 @@ def test_errors_table(score_files):
 def test_usage_problems_exit_one():
     assert run()[0] == 1
     assert run("frobnicate")[0] == 1
-    assert run("extract")[0] == 1  # --corpus is required
+    code, _, err = run("extract")
+    assert code == 1
+    assert "--corpus" in err  # required, and reported on main()'s stderr
     code, _, err = run("extract", "--corpus", CORPUS, "--workers", "zero")
     assert code == 1
 

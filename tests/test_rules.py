@@ -216,6 +216,20 @@ def test_slot_errors():
         parse_rules(_wrap(body="  slot A optional {\n path: >dobj\n filler: span\n}\n"))
 
 
+def test_rules_built_in_code_are_checked_on_construction():
+    def build(*patterns):
+        return Rule(name="r", event_type="LAUNCH", tier="backoff", trigger=patterns, slots=())
+
+    launch = TokenPattern(branches=((Atom("lemma", ("launch",)),),))
+    assert build(launch).trigger == (launch,)
+    with pytest.raises(RuleError, match="trigger needs at least one"):
+        build()
+    with pytest.raises(RuleError, match="not indexable"):
+        build(TokenPattern(branches=((Atom("pos", ("VERB",)),),)))
+    with pytest.raises(RuleError, match="no positive atom"):
+        build(TokenPattern(branches=((Atom("lemma", ("launch",), negated=True),),)))
+
+
 def test_high_tier_constraints():
     chunk_slot = (
         "  slot SatelliteName required {\n    path: >dobj\n    filler: chunk\n  }\n"
