@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from contextlib import redirect_stderr
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -44,56 +43,39 @@ from .schemas import ANNOTATION_HEADER, annotation_task_records, shortlist
 MAX_SEED = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the pipeline subcommands."""
-
-    threshold: float = DEFAULT_THRESHOLD
-    unseen_fraction: float = DEFAULT_UNSEEN_FRACTION
-    sample: dict[str, float] = field(default_factory=dict)
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold <= 1.0:
-            raise InputError(f"--threshold must be in (0, 1], got {self.threshold}")
-        if not 0.0 < self.unseen_fraction <= 1.0:
-            raise InputError(
-                f"--unseen-fraction must be in (0, 1], got {self.unseen_fraction}"
-            )
-        for event_type, fraction in self.sample.items():
-            if not 0.0 < fraction <= 1.0:
-                raise InputError(
-                    f"--sample fraction for {event_type} must be in (0, 1]"
-                )
-        if not 0 <= self.seed <= MAX_SEED:
-            raise InputError(f"--seed must fit in 64 bits, got {self.seed}")
-        if self.workers < 1:
-            raise InputError(f"--workers must be at least 1, got {self.workers}")
+def _convert(text: str, convert, what: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
 
 
-def _parse_sample(pairs: list[str]) -> dict[str, float]:
-    sample: dict[str, float] = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise InputError(f"--sample expects TYPE=FRACTION, got {pair!r}")
-        try:
-            fraction = float(value)
-        except ValueError:
-            raise InputError(f"--sample fraction is not a number: {value!r}")
-        sample[name.strip().upper()] = fraction
-    return sample
+def _fraction(text: str) -> float:
+    value = _convert(text, float, "a number")
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        threshold=getattr(args, "threshold", DEFAULT_THRESHOLD),
-        unseen_fraction=getattr(args, "unseen_fraction", DEFAULT_UNSEEN_FRACTION),
-        sample=_parse_sample(getattr(args, "sample", []) or []),
-        seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 1),
-    )
+def _sample_pair(text: str) -> tuple[str, float]:
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expects TYPE=FRACTION, got {text!r}")
+    return name.strip().upper(), _fraction(value)
+
+
+def _seed(text: str) -> int:
+    value = _convert(text, int, "an integer")
+    if not 0 <= value <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must fit in 64 bits, got {value}")
+    return value
+
+
+def _workers(text: str) -> int:
+    value = _convert(text, int, "an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -167,10 +149,9 @@ def _cmd_validate(args, out, err) -> int:
 
 
 def _cmd_dedup(args, out, err) -> int:
-    config = _config(args)
     docs = _read_documents(args.corpus, args.format)
-    assignment = pool_duplicates(docs, threshold=config.threshold)
-    assignment = assign_splits(assignment, docs, unseen_fraction=config.unseen_fraction)
+    assignment = pool_duplicates(docs, threshold=args.threshold)
+    assignment = assign_splits(assignment, docs, unseen_fraction=args.unseen_fraction)
     for doc_id in sorted(assignment.pool_of):
         _emit(
             out,
@@ -210,9 +191,8 @@ def _cmd_ner(args, out, err) -> int:
 
 
 def _cmd_index(args, out, err) -> int:
-    config = _config(args)
     docs = _read_documents(args.corpus, args.format)
-    index = build_index(docs, workers=config.workers)
+    index = build_index(docs, workers=args.workers)
     save_index(index, args.index)
     n_sentences = sum(len(doc.sentences) for doc in docs)
     print(
@@ -224,17 +204,16 @@ def _cmd_index(args, out, err) -> int:
 
 
 def _extract(args):
-    config = _config(args)
     docs = _read_documents(args.corpus, args.format)
     rules = _load_rules(args.rules)
     index = load_index(args.index) if getattr(args, "index", None) else None
     layer = ner_layer(_load_gazetteer(args.gazetteer))
-    events = extract_events(docs, rules, index=index, ner=layer, workers=config.workers)
-    return config, docs, events
+    events = extract_events(docs, rules, index=index, ner=layer, workers=args.workers)
+    return docs, events
 
 
 def _cmd_extract(args, out, err) -> int:
-    _, _, events = _extract(args)
+    _, events = _extract(args)
     for event in events:
         _emit(out, event_to_dict(event))
     print(f"{len(events)} events", file=err)
@@ -242,8 +221,8 @@ def _cmd_extract(args, out, err) -> int:
 
 
 def _cmd_shortlist(args, out, err) -> int:
-    config, _, events = _extract(args)
-    candidates = shortlist(events, sample=config.sample, seed=config.seed)
+    _, events = _extract(args)
+    candidates = shortlist(events, sample=dict(args.sample), seed=args.seed)
     for cand in candidates:
         _emit(
             out,
@@ -261,8 +240,8 @@ def _cmd_shortlist(args, out, err) -> int:
 
 
 def _cmd_export_annotation(args, out, err) -> int:
-    config, docs, events = _extract(args)
-    candidates = shortlist(events, sample=config.sample, seed=config.seed)
+    docs, events = _extract(args)
+    candidates = shortlist(events, sample=dict(args.sample), seed=args.seed)
     _emit(out, ANNOTATION_HEADER)
     records = annotation_task_records(candidates, docs)
     for record in records:
@@ -366,8 +345,15 @@ def _add_extract_inputs(sub) -> None:
 
 def _add_workers(sub) -> None:
     sub.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; runs are serial"
+        "--workers", type=_workers, default=1, help="accepted for compatibility; runs are serial"
     )
+
+
+def _add_sampling(sub) -> None:
+    sub.add_argument(
+        "--sample", action="append", type=_sample_pair, metavar="TYPE=FRACTION", default=[]
+    )
+    sub.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("dedup", help="pool near-duplicates and assign splits")
     _add_corpus(sub)
-    sub.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    sub.add_argument("--unseen-fraction", type=float, default=DEFAULT_UNSEEN_FRACTION)
+    sub.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
+    sub.add_argument("--unseen-fraction", type=_fraction, default=DEFAULT_UNSEEN_FRACTION)
     sub.set_defaults(func=_cmd_dedup)
 
     sub = commands.add_parser("ner", help="tag sentences with the merged NER layer")
@@ -406,14 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("shortlist", help="validated candidate sentences, sampled")
     _add_extract_inputs(sub)
-    sub.add_argument("--sample", action="append", metavar="TYPE=FRACTION", default=[])
-    sub.add_argument("--seed", type=int, default=0)
+    _add_sampling(sub)
     sub.set_defaults(func=_cmd_shortlist)
 
     sub = commands.add_parser("export-annotation", help="write annotation task records")
     _add_extract_inputs(sub)
-    sub.add_argument("--sample", action="append", metavar="TYPE=FRACTION", default=[])
-    sub.add_argument("--seed", type=int, default=0)
+    _add_sampling(sub)
     sub.set_defaults(func=_cmd_export_annotation)
 
     sub = commands.add_parser("score", help="span-level P/R/F1 per event type and slot")

@@ -8,8 +8,10 @@ the generic slots, corpus statistics per event and split, and the
 standard error breakdown (exact, span error, label confusion, spurious,
 missed).
 
-Scoring counts a (start, end, label) span at most once per sentence, on
-both the gold and the predicted side.
+A sentence is identified by its ``(doc_id, sentence_id)`` pair, since
+sentence ids are unique only within a document; records without a
+``doc_id`` share the empty one.  Scoring counts a (start, end, label)
+span at most once per sentence, on both the gold and the predicted side.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .documents import SPLITS
 from .errors import InputError, SchemaError
-from .schemas import SCHEMAS, EventSchema
+from .schemas import SCHEMAS
 
 GENERIC_SLOTS = ("Organization", "Date")
 
@@ -156,17 +158,29 @@ class SentenceAnnotation:
     spans: tuple[LabeledSpan, ...]
     split: str | None = None
     n_tokens: int | None = None
+    doc_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "spans", tuple(self.spans))
+
+    @property
+    def key(self) -> tuple[str, str]:
+        """The sentence's identity, ``(doc_id, sentence_id)``."""
+        return (self.doc_id, self.sentence_id)
+
+
+def _spell(key: tuple[str, str]) -> str:
+    doc_id, sentence_id = key
+    return f"{doc_id}/{sentence_id}" if doc_id else sentence_id
 
 
 def read_annotations(source) -> list[SentenceAnnotation]:
     """Read sentence annotation records from JSON lines.
 
     Required fields: ``sentence_id``, ``event_type``, ``spans`` (each
-    with ``start``, ``end``, ``label``).  Optional: ``split`` and either
-    ``n_tokens`` or a ``tokens`` list (needed for corpus statistics).
+    with ``start``, ``end``, ``label``).  Optional: ``doc_id``, ``split``
+    and either ``n_tokens`` or a ``tokens`` list (needed for corpus
+    statistics).
     Spans within one record must not overlap.
     """
     if isinstance(source, str):
@@ -221,6 +235,9 @@ def read_annotations(source) -> list[SentenceAnnotation]:
         split = obj.get("split")
         if split is not None and not isinstance(split, str):
             raise SchemaError(f"line {line_no}: split must be a string")
+        doc_id = obj.get("doc_id", "")
+        if not isinstance(doc_id, str):
+            raise SchemaError(f"line {line_no}: doc_id must be a string")
         records.append(
             SentenceAnnotation(
                 sentence_id=obj["sentence_id"],
@@ -228,6 +245,7 @@ def read_annotations(source) -> list[SentenceAnnotation]:
                 spans=tuple(spans),
                 split=split,
                 n_tokens=n_tokens,
+                doc_id=doc_id,
             )
         )
     return records
@@ -308,10 +326,11 @@ class EvalReport:
 
 def _span_sets(
     records: Sequence[SentenceAnnotation],
-) -> dict[str, dict[str, set[tuple[int, int, str]]]]:
-    out: dict[str, dict[str, set[tuple[int, int, str]]]] = defaultdict(dict)
+) -> dict[str, dict[tuple[str, str], set[tuple[int, int, str]]]]:
+    """event type -> sentence key -> spans."""
+    out: dict[str, dict[tuple[str, str], set[tuple[int, int, str]]]] = defaultdict(dict)
     for record in records:
-        spans = out[record.event_type].setdefault(record.sentence_id, set())
+        spans = out[record.event_type].setdefault(record.key, set())
         spans.update((s.start, s.end, s.label) for s in record.spans)
     return out
 
@@ -325,9 +344,9 @@ def _check_universe(gold, pred) -> None:
             missing_gold = sorted(pred_ids - gold_ids)
             parts = [f"sentence sets differ for {event_type}"]
             if missing_pred:
-                parts.append(f"missing from pred: {', '.join(missing_pred)}")
+                parts.append(f"missing from pred: {', '.join(map(_spell, missing_pred))}")
             if missing_gold:
-                parts.append(f"missing from gold: {', '.join(missing_gold)}")
+                parts.append(f"missing from gold: {', '.join(map(_spell, missing_gold))}")
             raise InputError("; ".join(parts))
 
 
@@ -340,8 +359,8 @@ def _tally(
     _check_universe(gold_sets, pred_sets)
     counts: dict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0, 0])
     for event_type, by_sentence in gold_sets.items():
-        for sentence_id, gold_spans in by_sentence.items():
-            pred_spans = pred_sets[event_type][sentence_id]
+        for key, gold_spans in by_sentence.items():
+            pred_spans = pred_sets[event_type][key]
             for start, end, label in gold_spans & pred_spans:
                 counts[(event_type, label)][0] += 1
             for start, end, label in pred_spans - gold_spans:
@@ -354,24 +373,22 @@ def _tally(
 def score_slots(
     gold: Sequence[SentenceAnnotation],
     pred: Sequence[SentenceAnnotation],
-    schemas: Mapping[str, EventSchema] | None = None,
 ) -> EvalReport:
     """Exact-match span scores per (event type, slot), plus the generic micro rows.
 
     Gold and pred must cover the same sentences per event type; supply
     empty span lists for sentences without predictions.
     """
-    schemas = dict(schemas) if schemas is not None else SCHEMAS
     counts = _tally(gold, pred)
 
     def slot_order(event_type: str, label: str) -> tuple[int, str]:
-        schema = schemas.get(event_type)
-        if schema is not None and label in schema.slot_names():
-            return (schema.slot_names().index(label), "")
-        return (len(schemas.get(event_type, EventSchema(event_type, ())).slots), label)
+        names = SCHEMAS[event_type].slot_names() if event_type in SCHEMAS else ()
+        if label in names:
+            return (names.index(label), "")
+        return (len(names), label)
 
     def event_order(event_type: str) -> tuple[int, str]:
-        known = list(schemas)
+        known = list(SCHEMAS)
         if event_type in known:
             return (known.index(event_type), "")
         return (len(known), event_type)
@@ -427,16 +444,16 @@ _SPLIT_ORDER = {name: i for i, name in enumerate(SPLITS)}
 
 def corpus_stats(annotations: Sequence[SentenceAnnotation]) -> list[StatsRow]:
     """Sentences, tagged tokens, and total tokens per (event type, split)."""
-    sentences: dict[tuple[str, str], set[str]] = defaultdict(set)
+    sentences: dict[tuple[str, str], set[tuple[str, str]]] = defaultdict(set)
     tagged: Counter[tuple[str, str]] = Counter()
     total: Counter[tuple[str, str]] = Counter()
     for record in annotations:
         if record.n_tokens is None:
             raise InputError(
-                f"record for sentence {record.sentence_id!r} has no token count"
+                f"record for sentence {_spell(record.key)!r} has no token count"
             )
         key = (record.event_type, record.split or "unassigned")
-        sentences[key].add(record.sentence_id)
+        sentences[key].add(record.key)
         tagged[key] += sum(s.end - s.start for s in record.spans)
         total[key] += record.n_tokens
     rows = [
@@ -496,14 +513,14 @@ def classify_errors(
     pred_sets = _span_sets(pred)
     exact = span_error = label_confusion = spurious = missed = 0
     all_keys = {
-        (event_type, sentence_id)
+        (event_type, key)
         for sets in (gold_sets, pred_sets)
         for event_type, by_sentence in sets.items()
-        for sentence_id in by_sentence
+        for key in by_sentence
     }
-    for event_type, sentence_id in sorted(all_keys):
-        g = gold_sets.get(event_type, {}).get(sentence_id, set())
-        p = pred_sets.get(event_type, {}).get(sentence_id, set())
+    for event_type, key in sorted(all_keys):
+        g = gold_sets.get(event_type, {}).get(key, set())
+        p = pred_sets.get(event_type, {}).get(key, set())
         exact += len(g & p)
 
         def overlap(a: tuple[int, int, str], b: tuple[int, int, str]) -> bool:

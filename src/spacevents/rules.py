@@ -22,8 +22,10 @@ contiguous token runs.  Inside a bracket, atoms test one field
 (``lemma=fail|failure``), combine with ``&``, alternate with ``|``, and
 negate with ``!``.  Every alternative must keep at least one positive
 ``surface`` or ``lemma`` atom so the trigger stays indexable.  ``Rule``
-checks this and the slot and tier rules below on construction, so rules
-built in code are validated like parsed ones.
+checks this, its event type and tier, and the slot and tier rules below
+on construction; ``Atom`` checks its field and ``SlotPattern`` its path.
+Rules built in code are therefore validated like parsed ones, and the
+parser reports each such error at the line and column of the construct.
 
 Slot paths walk dependency edges from the trigger: ``>label`` follows an
 outgoing edge, ``<label`` the incoming one, labels alternate with ``|``,
@@ -48,6 +50,12 @@ class Atom:
     field: str
     values: tuple[str, ...]
     negated: bool = False
+
+    def __post_init__(self):
+        if self.field not in FIELDS:
+            raise RuleError(
+                f"unknown field {self.field!r} (expected one of {', '.join(FIELDS)})"
+            )
 
     @property
     def indexable(self) -> bool:
@@ -75,6 +83,10 @@ class SlotPattern:
     entity_types: tuple[str, ...] | None  # None means chunk filler
     required: bool
 
+    def __post_init__(self):
+        if not self.path:
+            raise RuleError(f"slot {self.name!r} needs at least one path step")
+
     @property
     def is_chunk(self) -> bool:
         return self.entity_types is None
@@ -91,6 +103,12 @@ class Rule:
     slots: tuple[SlotPattern, ...]
 
     def __post_init__(self):
+        if self.event_type not in EVENT_TYPES:
+            raise RuleError(f"unknown event type {self.event_type!r}")
+        if self.tier not in TIERS:
+            raise RuleError(
+                f"tier must be one of {'/'.join(TIERS)}, found {self.tier!r}"
+            )
         if not self.trigger:
             raise RuleError(
                 f"rule {self.name!r}: trigger needs at least one [token pattern]"
@@ -206,6 +224,14 @@ def _lex(text: str) -> list[_Tok]:
 # parser
 
 
+def _build(tok: _Tok, cls, **fields):
+    """Construct a rule-language object, reporting its own ``RuleError`` at ``tok``."""
+    try:
+        return cls(**fields)
+    except RuleError as exc:
+        raise RuleError(str(exc), line=tok.line, col=tok.col) from None
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok]):
         self._toks = toks
@@ -257,85 +283,64 @@ class _Parser:
             raise RuleError(
                 f"expected 'rule', found {kw.value!r}", line=kw.line, col=kw.col
             )
-        name_tok = self.expect_word("rule name")
-        name = name_tok.value
+        name = self.expect_word("rule name").value
         self.expect_punct("{")
-        event: str | None = None
-        tier: str | None = None
-        trigger: tuple[TokenPattern, ...] | None = None
+        header: dict[str, object] = {}
         slots: list[SlotPattern] = []
         while not self.at_punct("}"):
             clause = self.expect_word("clause")
-            if clause.value == "event":
-                if event is not None:
-                    raise RuleError(
-                        f"rule {name!r}: duplicate event clause",
-                        line=clause.line,
-                        col=clause.col,
-                    )
-                self.expect_punct(":")
-                value = self.expect_word("event type")
-                if value.value not in EVENT_TYPES:
-                    raise RuleError(
-                        f"unknown event type {value.value!r}",
-                        line=value.line,
-                        col=value.col,
-                    )
-                event = value.value
-            elif clause.value == "tier":
-                if tier is not None:
-                    raise RuleError(
-                        f"rule {name!r}: duplicate tier clause",
-                        line=clause.line,
-                        col=clause.col,
-                    )
-                self.expect_punct(":")
-                value = self.expect_word("tier")
-                if value.value not in TIERS:
-                    raise RuleError(
-                        f"tier must be one of {'/'.join(TIERS)}, found {value.value!r}",
-                        line=value.line,
-                        col=value.col,
-                    )
-                tier = value.value
-            elif clause.value == "trigger":
-                if trigger is not None:
-                    raise RuleError(
-                        f"rule {name!r}: duplicate trigger clause",
-                        line=clause.line,
-                        col=clause.col,
-                    )
-                patterns = []
-                self.expect_punct(":")
-                if not self.at_punct("["):
-                    tok = self.peek()
-                    raise RuleError(
-                        "trigger needs at least one [token pattern]",
-                        line=tok.line,
-                        col=tok.col,
-                    )
-                while self.at_punct("["):
-                    patterns.append(self.parse_token_pattern())
-                trigger = tuple(patterns)
-            elif clause.value == "slot":
+            if clause.value == "slot":
                 slots.append(self.parse_slot())
-            else:
+                continue
+            if clause.value not in ("event", "tier", "trigger"):
                 raise RuleError(
                     f"unknown clause {clause.value!r} in rule {name!r}",
                     line=clause.line,
                     col=clause.col,
                 )
+            if clause.value in header:
+                raise RuleError(
+                    f"rule {name!r}: duplicate {clause.value} clause",
+                    line=clause.line,
+                    col=clause.col,
+                )
+            self.expect_punct(":")
+            if clause.value == "event":
+                header["event"] = self.expect_word("event type").value
+            elif clause.value == "tier":
+                header["tier"] = self.expect_word("tier").value
+            else:
+                header["trigger"] = self.parse_trigger()
         self.expect_punct("}")
-        for label, value in (("event", event), ("tier", tier), ("trigger", trigger)):
-            if value is None:
-                raise RuleError(f"rule {name!r} is missing its {label} clause")
-        return Rule(
+        for label in ("event", "tier", "trigger"):
+            if label not in header:
+                raise RuleError(
+                    f"rule {name!r} is missing its {label} clause",
+                    line=kw.line,
+                    col=kw.col,
+                )
+        return _build(
+            kw,
+            Rule,
             name=name,
-            event_type=event,
-            tier=tier,
-            trigger=trigger,
+            event_type=header["event"],
+            tier=header["tier"],
+            trigger=header["trigger"],
             slots=tuple(slots),
         )
+
+    def parse_trigger(self) -> tuple[TokenPattern, ...]:
+        if not self.at_punct("["):
+            tok = self.peek()
+            raise RuleError(
+                "trigger needs at least one [token pattern]",
+                line=tok.line,
+                col=tok.col,
+            )
+        patterns = []
+        while self.at_punct("["):
+            patterns.append(self.parse_token_pattern())
+        return tuple(patterns)
 
     def parse_token_pattern(self) -> TokenPattern:
         self.expect_punct("[")
@@ -359,12 +364,6 @@ class _Parser:
             self.advance()
             negated = True
         field = self.expect_word("field name")
-        if field.value not in FIELDS:
-            raise RuleError(
-                f"unknown field {field.value!r} (expected one of {', '.join(FIELDS)})",
-                line=field.line,
-                col=field.col,
-            )
         self.expect_punct("=")
         values = [self.parse_literal()]
         # a '|' continues this atom's literal alternation unless what follows
@@ -372,7 +371,7 @@ class _Parser:
         while self.at_punct("|") and not self._next_starts_atom():
             self.advance()
             values.append(self.parse_literal())
-        return Atom(field=field.value, values=tuple(values), negated=negated)
+        return _build(field, Atom, field=field.value, values=tuple(values), negated=negated)
 
     def _next_starts_atom(self) -> bool:
         after = self.peek(1)
@@ -420,13 +419,6 @@ class _Parser:
             steps.append(
                 DepPathStep(direction=direction, labels=tuple(labels), optional=optional)
             )
-        if not steps:
-            tok = self.peek()
-            raise RuleError(
-                f"slot {name.value!r} needs at least one path step",
-                line=tok.line,
-                col=tok.col,
-            )
         kw = self.expect_word("'filler'")
         if kw.value != "filler":
             raise RuleError(
@@ -451,7 +443,9 @@ class _Parser:
                 col=kind.col,
             )
         self.expect_punct("}")
-        return SlotPattern(
+        return _build(
+            name,
+            SlotPattern,
             name=name.value,
             path=tuple(steps),
             entity_types=entity_types,

@@ -93,19 +93,16 @@ class ValidationResult:
         return self.valid
 
 
-def validate_event(
-    event: "EventMention", schema: EventSchema | None = None
-) -> ValidationResult:
+def validate_event(event: "EventMention") -> ValidationResult:
     """Decide whether an extracted event is worth keeping.
 
     Unknown slot names make the event invalid; a missing anchor slot
     (see ``ANCHOR_SLOTS``) does too.  An unknown event type is a hard
     error rather than an invalid event.
     """
+    schema = SCHEMAS.get(event.event_type)
     if schema is None:
-        schema = SCHEMAS.get(event.event_type)
-        if schema is None:
-            raise SchemaError(f"unknown event type {event.event_type!r}")
+        raise SchemaError(f"unknown event type {event.event_type!r}")
     known = set(schema.slot_names())
     for name in event.slots:
         if name not in known:
@@ -131,7 +128,6 @@ def _round_half_up(value: float) -> int:
 
 def shortlist(
     events: Iterable["EventMention"],
-    schemas: Mapping[str, EventSchema] | None = None,
     sample: Mapping[str, float] | None = None,
     seed: int = 0,
 ) -> list[CandidateSentence]:
@@ -142,7 +138,6 @@ def shortlist(
     event type (kept groups stay in input order).  Groups that lose the
     draw are still returned, with ``sampled=False``.
     """
-    schemas = dict(schemas) if schemas is not None else SCHEMAS
     fractions = dict(sample) if sample else {}
     for event_type, fraction in fractions.items():
         if not 0.0 < fraction <= 1.0:
@@ -150,21 +145,14 @@ def shortlist(
                 f"sample fraction for {event_type} must be in (0, 1], got {fraction}"
             )
     groups: dict[tuple[str, str, str], list["EventMention"]] = {}
-    order: list[tuple[str, str, str]] = []
     for event in events:
-        schema = schemas.get(event.event_type)
-        if schema is None:
-            raise SchemaError(f"unknown event type {event.event_type!r}")
-        if not validate_event(event, schema):
+        if not validate_event(event):
             continue
         key = (event.doc_id, event.sentence_id, event.event_type)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(event)
+        groups.setdefault(key, []).append(event)
 
     keys_by_type: dict[str, list[tuple[str, str, str]]] = {}
-    for key in order:
+    for key in groups:
         keys_by_type.setdefault(key[2], []).append(key)
     retained: set[tuple[str, str, str]] = set()
     for event_type in sorted(keys_by_type):
@@ -186,7 +174,7 @@ def shortlist(
             events=tuple(groups[key]),
             sampled=key in retained,
         )
-        for key in order
+        for key in groups
     ]
 
 

@@ -352,6 +352,18 @@ def test_config_validation_exit_codes():
     assert code == 1
     assert "not a number" in err
     assert run("shortlist", "--corpus", CORPUS, "--sample", "launch=0")[0] == 1
+    # a bad flag is reported before any input file is opened
+    for argv, flag in (
+        (("dedup", "--threshold", "0"), "--threshold"),
+        (("dedup", "--unseen-fraction", "1.5"), "--unseen-fraction"),
+        (("shortlist", "--sample", "launch=2"), "--sample"),
+        (("export-annotation", "--seed", "-1"), "--seed"),
+        (("extract", "--workers", "0"), "--workers"),
+    ):
+        code, _, err = run(*argv, "--corpus", "/no/such/file")
+        assert code == 1, argv
+        assert f"argument {flag}" in err, err
+        assert "cannot read" not in err, err
 
 
 def test_unexpected_failures_exit_two(monkeypatch):

@@ -272,6 +272,46 @@ def test_read_annotations_errors():
         read_annotations(
             '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [], "split": 3}'
         )
+    with pytest.raises(SchemaError, match="doc_id must be a string"):
+        read_annotations(
+            '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [], "doc_id": null}'
+        )
+
+
+def test_sentences_are_identified_by_document_and_sentence_id():
+    # both documents number their first sentence s0; the prediction puts
+    # d2's span on d1's sentence
+    def records(d1_spans, d2_spans):
+        return read_annotations(
+            "\n".join(
+                json.dumps(
+                    {
+                        "doc_id": doc_id,
+                        "sentence_id": "s0",
+                        "event_type": "LAUNCH",
+                        "n_tokens": n_tokens,
+                        "spans": [
+                            {"start": s, "end": e, "label": "SatelliteName"}
+                            for s, e in spans
+                        ],
+                    }
+                )
+                for doc_id, n_tokens, spans in (("d1", 5, d1_spans), ("d2", 7, d2_spans))
+            )
+        )
+
+    gold = records([(0, 1)], [(2, 4)])
+    pred = records([(2, 4)], [])
+    assert [r.key for r in gold] == [("d1", "s0"), ("d2", "s0")]
+    [row] = corpus_stats(gold)
+    assert (row.sentences, row.tagged_tokens, row.total_tokens) == (2, 3, 12)
+    [score] = score_slots(gold, pred).rows
+    assert (score.tp, score.fp, score.fn) == (0, 1, 2)
+    assert classify_errors(gold, pred) == ErrorBuckets(
+        exact=0, span_error=0, label_confusion=0, spurious=1, missed=2
+    )
+    with pytest.raises(InputError, match="missing from pred: d2/s0"):
+        score_slots(gold, pred[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,20 @@ def test_rules_built_in_code_are_checked_on_construction():
         build(TokenPattern(branches=((Atom("pos", ("VERB",)),),)))
     with pytest.raises(RuleError, match="no positive atom"):
         build(TokenPattern(branches=((Atom("lemma", ("launch",), negated=True),),)))
+    for tier in ("high", "backoff"):
+        with pytest.raises(RuleError, match="unknown event type 'EXPLOSION'"):
+            Rule(name="r", event_type="EXPLOSION", tier=tier, trigger=(launch,), slots=())
+    with pytest.raises(RuleError, match="tier must be one of high/backoff, found 'low'"):
+        Rule(name="r", event_type="LAUNCH", tier="low", trigger=(launch,), slots=())
+    with pytest.raises(RuleError, match="unknown field 'word'"):
+        build(TokenPattern(branches=((Atom("word", ("launch",)),),)))
+    with pytest.raises(RuleError, match="slot 'A' needs at least one path step"):
+        SlotPattern(name="A", path=(), entity_types=None, required=False)
+
+
+def test_rule_level_parse_errors_carry_the_rule_position():
+    with pytest.raises(RuleError, match="line 1, column 1: .*not indexable"):
+        parse_rules(_wrap(trigger="[pos=VERB]"))
 
 
 def test_high_tier_constraints():
