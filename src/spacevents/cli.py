@@ -206,7 +206,14 @@ def _cmd_index(args, out, err) -> int:
 def _extract(args):
     docs = _read_documents(args.corpus, args.format)
     rules = _load_rules(args.rules)
-    index = load_index(args.index) if getattr(args, "index", None) else None
+    index = None
+    if getattr(args, "index", None):
+        index = load_index(args.index)
+        # an index of other sentences would silently skip events; edits that
+        # keep every (doc id, sentence id) pass this check undetected
+        corpus_refs = sorted((doc.id, sent.id) for doc in docs for sent in doc.sentences)
+        if index.sentences != tuple(corpus_refs):
+            raise InputError(f"{args.index}: built for a different corpus")
     layer = ner_layer(_load_gazetteer(args.gazetteer))
     events = extract_events(docs, rules, index=index, ner=layer, workers=args.workers)
     return docs, events

@@ -34,6 +34,7 @@ class LabeledSpan:
     start: int
     end: int  # exclusive
     label: str
+    doc_id: str = ""
 
     def __post_init__(self):
         if self.start < 0 or self.end <= self.start:
@@ -41,9 +42,14 @@ class LabeledSpan:
                 f"bad span [{self.start}, {self.end}) in sentence {self.sentence_id!r}"
             )
 
+    @property
+    def key(self) -> tuple[str, str]:
+        """The span's sentence, ``(doc_id, sentence_id)``."""
+        return (self.doc_id, self.sentence_id)
+
     def overlaps(self, other: "LabeledSpan") -> bool:
         return (
-            self.sentence_id == other.sentence_id
+            self.key == other.key
             and self.start < other.end
             and other.start < self.end
         )
@@ -121,7 +127,7 @@ def consensus(layers: Sequence[AnnotationLayer]) -> list[LabeledSpan]:
         key=lambda s: (
             -votes[s],
             -(s.end - s.start),
-            s.sentence_id,
+            s.key,
             s.start,
             s.end,
             s.label,
@@ -131,7 +137,7 @@ def consensus(layers: Sequence[AnnotationLayer]) -> list[LabeledSpan]:
     for span in majority:
         if not any(span.overlaps(existing) for existing in kept):
             kept.append(span)
-    kept.sort(key=lambda s: (s.sentence_id, s.start, s.end, s.label))
+    kept.sort(key=lambda s: (s.key, s.start, s.end, s.label))
     return kept
 
 
@@ -201,6 +207,9 @@ def read_annotations(source) -> list[SentenceAnnotation]:
         for key in ("sentence_id", "event_type"):
             if not isinstance(obj.get(key), str):
                 raise SchemaError(f"line {line_no}: missing or non-string {key}")
+        doc_id = obj.get("doc_id", "")
+        if not isinstance(doc_id, str):
+            raise SchemaError(f"line {line_no}: doc_id must be a string")
         raw_spans = obj.get("spans")
         if not isinstance(raw_spans, list):
             raise SchemaError(f"line {line_no}: missing spans list")
@@ -215,6 +224,7 @@ def read_annotations(source) -> list[SentenceAnnotation]:
                         start=raw_span["start"],
                         end=raw_span["end"],
                         label=raw_span["label"],
+                        doc_id=doc_id,
                     )
                 )
             except (KeyError, TypeError):
@@ -235,9 +245,6 @@ def read_annotations(source) -> list[SentenceAnnotation]:
         split = obj.get("split")
         if split is not None and not isinstance(split, str):
             raise SchemaError(f"line {line_no}: split must be a string")
-        doc_id = obj.get("doc_id", "")
-        if not isinstance(doc_id, str):
-            raise SchemaError(f"line {line_no}: doc_id must be a string")
         records.append(
             SentenceAnnotation(
                 sentence_id=obj["sentence_id"],

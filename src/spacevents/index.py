@@ -1,11 +1,18 @@
 """Field-tagged inverted index over sentences, with a small binary file format.
 
 Terms are spelled by ``index_term``: ``surface:<lowercased form>`` and
-``lemma:<lemma as written>``; postings are sorted, duplicate-free tuples
-of (document id, sentence id).  ``Rule`` guarantees every trigger
+``lemma:<lemma as written>``.  ``Rule`` guarantees every trigger
 alternative an indexable atom (see ``rules``), so the postings of those
 atoms bound the sentences a trigger can match, which is what lets
 extraction skip almost the whole corpus.
+
+In memory the index keeps the file's layout: ``sentences`` is the
+sorted tuple of (document id, sentence id) refs of every indexed
+sentence, and each term's postings are a sorted, duplicate-free
+``array('I')`` of positions in that tuple.  Arrays hold plain integers,
+so the garbage collector never traverses them, and loading a file copies
+each posting list in one step.  ``refs`` turns a posting list back into
+refs.
 
 On-disk layout, all integers little-endian:
 
@@ -23,7 +30,8 @@ same corpus always serializes to the same bytes.
 from __future__ import annotations
 
 import struct
-from collections import defaultdict
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -40,10 +48,11 @@ Ref = tuple[str, str]  # (doc id, sentence id)
 
 @dataclass(frozen=True)
 class InvertedIndex:
-    postings: Mapping[str, tuple[Ref, ...]]
+    postings: Mapping[str, array]  # term -> ids: positions in ``sentences``
+    sentences: tuple[Ref, ...] = ()
 
     def refs(self, term: str) -> tuple[Ref, ...]:
-        return self.postings.get(term, ())
+        return tuple(map(self.sentences.__getitem__, self.postings.get(term, ())))
 
     def __len__(self) -> int:
         return len(self.postings)
@@ -60,15 +69,25 @@ def build_index(docs: Sequence[Document], workers: int = 1) -> InvertedIndex:
     ``workers`` is accepted for compatibility and ignored: the build is
     pure-Python work, which threads only slow down.
     """
-    raw: defaultdict[str, set[Ref]] = defaultdict(set)
-    for doc in docs:
-        for sent in doc.sentences:
-            ref = (doc.id, sent.id)
-            for tok in sent.tokens:
-                raw[index_term("surface", tok.surface)].add(ref)
-                raw[index_term("lemma", tok.lemma)].add(ref)
-    postings = {term: tuple(sorted(refs)) for term, refs in raw.items()}
-    return InvertedIndex(postings=postings)
+    indexed = [sent for doc in docs for sent in doc.sentences if sent.tokens]
+    refs = [(doc.id, sent.id) for doc in docs for sent in doc.sentences if sent.tokens]
+    sentences: list[Ref] = []
+    postings: dict[str, array] = {}
+    # visit sentences in ref order so each posting array comes out sorted; the
+    # order is a list of ints, not of (ref, sentence) pairs, which would give
+    # the garbage collector one more object to track per sentence
+    for k in sorted(range(len(refs)), key=refs.__getitem__):
+        if not sentences or sentences[-1] != refs[k]:
+            sentences.append(refs[k])
+        ref_id = len(sentences) - 1
+        for tok in indexed[k].tokens:
+            for term in (index_term("surface", tok.surface), index_term("lemma", tok.lemma)):
+                ids = postings.get(term)
+                if ids is None:
+                    postings[term] = array("I", (ref_id,))
+                elif ids[-1] != ref_id:
+                    ids.append(ref_id)
+    return InvertedIndex(postings=postings, sentences=tuple(sentences))
 
 
 def candidate_sentences(index: InvertedIndex, rule: Rule) -> set[Ref]:
@@ -80,23 +99,32 @@ def candidate_sentences(index: InvertedIndex, rule: Rule) -> set[Ref]:
     the postings of its indexable atoms.
     """
 
-    def atom_refs(atom: Atom) -> set[Ref]:
-        return set().union(*(index.refs(index_term(atom.field, v)) for v in atom.values))
+    def atom_ids(atom: Atom) -> set[int]:
+        return set().union(
+            *(index.postings.get(index_term(atom.field, v), ()) for v in atom.values)
+        )
 
-    def branch_refs(branch: tuple[Atom, ...]) -> set[Ref]:
-        return set.intersection(*(atom_refs(atom) for atom in branch if atom.indexable))
+    def branch_ids(branch: tuple[Atom, ...]) -> set[int]:
+        return set.intersection(*(atom_ids(atom) for atom in branch if atom.indexable))
 
-    return set.intersection(
-        *(set().union(*map(branch_refs, pattern.branches)) for pattern in rule.trigger)
+    ids = set.intersection(
+        *(set().union(*map(branch_ids, pattern.branches)) for pattern in rule.trigger)
     )
+    return {index.sentences[i] for i in ids}
+
+
+def _u32s(ids: array) -> bytes:
+    """``ids`` as little-endian u32 bytes, the file's spelling of a posting list."""
+    if sys.byteorder == "big":
+        ids = array("I", ids)
+        ids.byteswap()
+    return ids.tobytes()
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    refs = sorted({ref for postings in index.postings.values() for ref in postings})
-    ref_ids = {ref: i for i, ref in enumerate(refs)}
     chunks: list[bytes] = [MAGIC, struct.pack("<H", VERSION)]
-    chunks.append(struct.pack("<I", len(refs)))
-    for doc_id, sent_id in refs:
+    chunks.append(struct.pack("<I", len(index.sentences)))
+    for doc_id, sent_id in index.sentences:
         for part in (doc_id, sent_id):
             data = part.encode("utf-8")
             if len(data) > 0xFFFF:
@@ -109,11 +137,11 @@ def save_index(index: InvertedIndex, path) -> None:
         data = term.encode("utf-8")
         if len(data) > 0xFFFF:
             raise InputError(f"term too long to serialize: {term[:40]!r}...")
-        postings = index.postings[term]
+        ids = index.postings[term]
         chunks.append(struct.pack("<H", len(data)))
         chunks.append(data)
-        chunks.append(struct.pack("<I", len(postings)))
-        chunks.append(struct.pack(f"<{len(postings)}I", *(ref_ids[r] for r in postings)))
+        chunks.append(struct.pack("<I", len(ids)))
+        chunks.append(_u32s(ids))
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -157,16 +185,16 @@ def load_index(path) -> InvertedIndex:
     version = reader.u16()
     if version != VERSION:
         raise InputError(f"{path}: unsupported index version {version}")
-    refs = [(reader.string(), reader.string()) for _ in range(reader.u32())]
-    postings: dict[str, tuple[Ref, ...]] = {}
+    sentences = tuple((reader.string(), reader.string()) for _ in range(reader.u32()))
+    postings: dict[str, array] = {}
     for _ in range(reader.u32()):
         term = reader.string()
-        count = reader.u32()
-        ref_ids = struct.unpack(f"<{count}I", reader.take(4 * count))
-        try:
-            postings[term] = tuple(refs[i] for i in ref_ids)
-        except IndexError:
+        ids = array("I", reader.take(4 * reader.u32()))
+        if sys.byteorder == "big":
+            ids.byteswap()
+        if ids and max(ids) >= len(sentences):
             raise InputError(f"{path}: posting references unknown ref")
+        postings[term] = ids
     if not reader.done():
         raise InputError(f"{path}: trailing bytes after index data")
-    return InvertedIndex(postings=postings)
+    return InvertedIndex(postings=postings, sentences=sentences)

@@ -1,11 +1,14 @@
 """Rule matching over dependency-parsed sentences.
 
-Trigger token patterns are matched against contiguous token runs; slot
-patterns then walk labeled dependency edges out from the trigger and
-turn the tokens they reach into slot fillers.  A filler is either the
-whole typed mention containing the reached token (entity fillers) or
-the maximal noun-phrase chunk around it (chunk fillers), never the bare
-token, so "the Hubble Space Telescope" comes out in one piece.
+Trigger token patterns are matched against contiguous token runs,
+found through one dispatch table of the rules' first-bracket literals
+(``_Matcher``); ``find_trigger_spans`` is the plain scan it must agree
+with.  Slot patterns then walk labeled dependency edges out from the
+trigger and turn the tokens they reach into slot fillers.  A filler is
+either the whole typed mention containing the reached token (entity
+fillers) or the maximal noun-phrase chunk around it (chunk fillers),
+never the bare token, so "the Hubble Space Telescope" comes out in one
+piece.
 
 Path traversal works on frontier sets.  Each step maps the current
 frontier to the set of tokens reachable over one matching edge
@@ -23,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 from .documents import ROOT, Document, Sentence
 from .errors import InputError
 from .gazetteer import Mention
-from .index import InvertedIndex, Ref, candidate_sentences
+from .index import InvertedIndex, candidate_sentences, index_term
 from .rules import DepPathStep, Rule, TokenPattern
 
 # POS tags the fallback chunker treats as noun-phrase material; covers the
@@ -175,20 +178,20 @@ def _mention_containing(
     return None
 
 
-def match_rule(
+def _fill_slots(
     rule: Rule,
     sentence: Sentence,
     mentions: Sequence[Mention],
-    doc_id: str = "",
+    spans: Sequence[tuple[int, int]],
+    doc_id: str,
 ) -> list[EventMention]:
-    """All events ``rule`` produces on one sentence.
+    """The events ``rule`` yields at its trigger ``spans``, in span order.
 
     Every trigger occurrence is tried independently; a trigger
     occurrence yields an event only if all required slots fill.
     """
-    ner_types = _entity_type_at(mentions, len(sentence.tokens))
     events: list[EventMention] = []
-    for span in find_trigger_spans(sentence, rule.trigger, ner_types):
+    for span in spans:
         anchor = trigger_anchor(sentence, span)
         slots: dict[str, tuple[Mention, ...]] = {}
         satisfied = True
@@ -230,6 +233,125 @@ def match_rule(
     return events
 
 
+# A compiled atom: (field, values, negated).
+_Test = tuple[str, frozenset[str], bool]
+
+
+def _token_passes(
+    branches: tuple[tuple[_Test, ...], ...], token, ner_type: str | None
+) -> bool:
+    for branch in branches:
+        for field, values, negated in branch:
+            value = ner_type if field == "ner" else getattr(token, field)
+            if (value is not None and value in values) == negated:
+                break
+        else:
+            return True
+    return False
+
+
+@dataclass(frozen=True)
+class _CompiledRule:
+    rule: Rule
+    trigger: tuple[tuple[tuple[_Test, ...], ...], ...]  # bracket -> branch -> atom
+    needs: tuple[frozenset[str], ...]  # entity types of each required entity slot
+
+
+class _Matcher:
+    """A rule set compiled for matching: one literal dispatch table over all rules.
+
+    The table maps the index term of every indexable literal in a rule's
+    first trigger bracket to the rules (by position) that bracket can
+    start.  A trigger can only start at a token whose lowercased surface
+    or lemma term is in the table, so one table lookup per token and
+    field finds every possible trigger start; verification then checks
+    the whole trigger there with exact-case values.  This is
+    multi-pattern dispatch in the spirit of Aho-Corasick, over tokens
+    instead of characters.
+    """
+
+    def __init__(self, rules: Sequence[Rule]):
+        self._rules: list[_CompiledRule] = []
+        table: dict[str, list[int]] = {}
+        for position, rule in enumerate(rules):
+            self._rules.append(
+                _CompiledRule(
+                    rule=rule,
+                    trigger=tuple(
+                        tuple(
+                            tuple((a.field, frozenset(a.values), a.negated) for a in branch)
+                            for branch in pattern.branches
+                        )
+                        for pattern in rule.trigger
+                    ),
+                    needs=tuple(
+                        frozenset(slot.entity_types)
+                        for slot in rule.slots
+                        if slot.required and not slot.is_chunk
+                    ),
+                )
+            )
+            for branch in rule.trigger[0].branches:
+                for atom in branch:
+                    if atom.indexable:
+                        for value in atom.values:
+                            starts = table.setdefault(index_term(atom.field, value), [])
+                            if not starts or starts[-1] != position:
+                                starts.append(position)
+        self._table = {term: tuple(positions) for term, positions in table.items()}
+
+    def events(
+        self, sentence: Sentence, doc_id: str, ner: NerLayer
+    ) -> list[EventMention]:
+        """Every event the rules yield on ``sentence``, in rule order.
+
+        ``ner`` runs only if some token hits the dispatch table.
+        """
+        table = self._table
+        starts: dict[int, list[int]] = {}
+        for i, tok in enumerate(sentence.tokens):
+            hits = table.get(index_term("surface", tok.surface), ()) + table.get(
+                index_term("lemma", tok.lemma), ()
+            )
+            for position in hits:
+                at = starts.setdefault(position, [])
+                if not at or at[-1] != i:
+                    at.append(i)
+        if not starts:
+            return []
+        mentions = list(ner(sentence))
+        tokens = sentence.tokens
+        ner_types = _entity_type_at(mentions, len(tokens))
+        present = {mention.entity_type for mention in mentions}
+        events: list[EventMention] = []
+        for position in sorted(starts):
+            compiled = self._rules[position]
+            if any(present.isdisjoint(types) for types in compiled.needs):
+                continue  # a required slot has no mention it could take
+            width = len(compiled.trigger)
+            spans = [
+                (i, i + width)
+                for i in starts[position]
+                if i + width <= len(tokens)
+                and all(
+                    _token_passes(compiled.trigger[j], tokens[i + j], ner_types[i + j])
+                    for j in range(width)
+                )
+            ]
+            events.extend(_fill_slots(compiled.rule, sentence, mentions, spans, doc_id))
+        return events
+
+
+def match_rule(
+    rule: Rule,
+    sentence: Sentence,
+    mentions: Sequence[Mention],
+    doc_id: str = "",
+) -> list[EventMention]:
+    """All events ``rule`` produces on one sentence, given its mentions."""
+    return _Matcher([rule]).events(sentence, doc_id, lambda _: mentions)
+
+
 def _tier_filter(events: list[EventMention]) -> list[EventMention]:
     """Drop backoff events whose trigger span a high-tier event already claimed."""
     claimed = {
@@ -255,33 +377,39 @@ def extract_events(
 ) -> list[EventMention]:
     """Run every rule over the corpus and return events in canonical order.
 
-    With ``index`` the rules only visit their candidate sentences; the
-    result is identical to the full scan because candidate sets are
-    supersets of the matching sentences.  The NER layer is evaluated
-    once per visited sentence.  Output order is (doc id, sentence id,
-    rule name, trigger span).  ``workers`` is accepted for compatibility
-    and ignored: matching is pure-Python work, which threads only slow
-    down.
+    The rules are compiled once into a literal dispatch table (see
+    ``_Matcher``): each token's surface and lemma terms are looked up
+    once, a sentence where no token hits the table is skipped without
+    running the NER layer, and only the rules anchored at a hit are
+    verified, after dropping those with a required entity slot whose
+    types no mention of the sentence has.
+
+    With ``index`` only the union of the rules' candidate sentences is
+    visited; the result is identical to the full scan because candidate
+    sets are supersets of the matching sentences.  Output order is
+    (doc id, sentence id, rule name, trigger span), ties in rule order.
+    ``workers`` is accepted for compatibility and ignored: matching is
+    pure-Python work, which threads only slow down.
     """
     rules = list(rules)
+    matcher = _Matcher(rules)
     ner_fn: NerLayer = ner if ner is not None else (lambda sentence: ())
-    todo_at: dict[Ref, list[Rule]] | None = None
+    wanted: dict[str, set[str]] | None = None
     if index is not None:
-        todo_at = {}
+        wanted = {}
         for rule in rules:
-            for ref in candidate_sentences(index, rule):
-                todo_at.setdefault(ref, []).append(rule)
+            for doc_id, sent_id in candidate_sentences(index, rule):
+                wanted.setdefault(doc_id, set()).add(sent_id)
     events: list[EventMention] = []
     for doc in docs:
-        for sent in doc.sentences:
-            todo = rules if todo_at is None else todo_at.get((doc.id, sent.id))
-            if not todo:
+        sentences = doc.sentences
+        if wanted is not None:
+            sent_ids = wanted.get(doc.id)
+            if sent_ids is None:
                 continue
-            mentions = list(ner_fn(sent))
-            found: list[EventMention] = []
-            for rule in todo:
-                found.extend(match_rule(rule, sent, mentions, doc_id=doc.id))
-            events.extend(_tier_filter(found))
+            sentences = [sent for sent in sentences if sent.id in sent_ids]
+        for sent in sentences:
+            events.extend(_tier_filter(matcher.events(sent, doc.id, ner_fn)))
     events.sort(key=_event_order)
     return events
 

@@ -268,13 +268,16 @@ class _Parser:
 
     def parse_ruleset(self) -> list[Rule]:
         rules: list[Rule] = []
-        while self.peek().kind != "eof":
-            rules.append(self.parse_rule())
         seen: set[str] = set()
-        for rule in rules:
+        while self.peek().kind != "eof":
+            kw = self.peek()
+            rule = self.parse_rule()
             if rule.name in seen:
-                raise RuleError(f"duplicate rule name {rule.name!r}")
+                raise RuleError(
+                    f"duplicate rule name {rule.name!r}", line=kw.line, col=kw.col
+                )
             seen.add(rule.name)
+            rules.append(rule)
         return rules
 
     def parse_rule(self) -> Rule:

@@ -79,6 +79,26 @@ def test_extract_with_prebuilt_index_is_identical(tmp_path):
     assert indexed == plain
 
 
+def test_index_of_another_corpus_is_an_input_error(tmp_path):
+    # the index covers only the first document; extraction would miss d2's events
+    first_doc = tmp_path / "first.conllu"
+    first_doc.write_text(
+        Path(CORPUS).read_text(encoding="utf-8").split("# newdoc id = d2")[0], encoding="utf-8"
+    )
+    partial = tmp_path / "partial.idx"
+    assert run("index", "--corpus", str(first_doc), "--index", str(partial))[0] == 0
+    code, out, err = run("extract", "--corpus", CORPUS, "--index", str(partial))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {partial}: built for a different corpus\n"
+
+    whole = tmp_path / "whole.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(whole))[0] == 0
+    code, out, _ = run("extract", "--corpus", CORPUS, "--index", str(whole))
+    assert code == 0
+    assert len(lines_of(out)) == 4
+
+
 def test_worker_count_is_invisible_in_output():
     _, one, _ = run("extract", "--corpus", CORPUS, "--workers", "1")
     _, four, _ = run("extract", "--corpus", CORPUS, "--workers", "4")

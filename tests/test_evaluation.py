@@ -193,6 +193,29 @@ def test_consensus_higher_votes_beat_length():
     assert consensus(layers) == [short_majority]
 
 
+def test_consensus_tells_documents_apart():
+    # two documents' s0 sentences: their spans share token positions but never overlap
+    d1 = LabeledSpan("s0", 0, 2, "SatelliteName", doc_id="d1")
+    d2 = LabeledSpan("s0", 1, 3, "Date", doc_id="d2")
+    records = read_annotations(
+        "\n".join(
+            json.dumps(
+                {
+                    "doc_id": span.doc_id,
+                    "sentence_id": "s0",
+                    "event_type": "LAUNCH",
+                    "spans": [{"start": span.start, "end": span.end, "label": span.label}],
+                }
+            )
+            for span in (d1, d2)
+        )
+    )
+    assert tuple(span for record in records for span in record.spans) == (d1, d2)
+    layers = [AnnotationLayer("a", (d1, d2)), AnnotationLayer("b", (d1, d2))]
+    assert consensus(layers) == [d1, d2]
+    assert agreement(AnnotationLayer("c", (d1,)), [d1, d2]) == {"precision": 1.0, "recall": 0.5}
+
+
 def test_agreement_against_consensus():
     gold = consensus([LAYER_A, LAYER_B, LAYER_C])
     assert agreement(LAYER_A, gold) == {"precision": 1.0, "recall": 0.75}

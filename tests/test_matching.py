@@ -19,6 +19,8 @@ from spacevents import (
     trigger_anchor,
 )
 from spacevents.errors import InputError
+from spacevents.index import index_term
+from spacevents.matching import _entity_type_at, _fill_slots, _tier_filter
 
 from helpers import (
     TRIGGER_WORDS,
@@ -456,6 +458,110 @@ def test_extract_equivalences_on_random_corpora():
         full,
         key=lambda ev: (ev.doc_id, ev.sentence_id, ev.rule_name, ev.trigger),
     )
+
+
+def _reference_extract(docs, rules, ner):
+    """Every rule tried at every token of every sentence, then the tier filter."""
+    events = []
+    for doc in docs:
+        for sent in doc.sentences:
+            mentions = list(ner(sent))
+            ner_types = _entity_type_at(mentions, len(sent.tokens))
+            found = []
+            for rule in rules:
+                spans = find_trigger_spans(sent, rule.trigger, ner_types)
+                found.extend(_fill_slots(rule, sent, mentions, spans, doc.id))
+            events.extend(_tier_filter(found))
+    return sorted(
+        events,
+        key=lambda ev: (ev.doc_id, ev.sentence_id, ev.rule_name, ev.trigger, ev.event_type),
+    )
+
+
+def _first_bracket_literals(rules):
+    return [
+        index_term(atom.field, value)
+        for rule in rules
+        for branch in rule.trigger[0].branches
+        for atom in branch
+        if atom.indexable
+        for value in set(atom.values)
+    ]
+
+
+HAND_RULES = """
+rule mixed-case-surface {
+  event: LAUNCH
+  tier: backoff
+  trigger: [surface=Launched|NASA] [surface=Telkom-3|NASA & ner=SPACECRAFT|ORGANIZATION | lemma=w001]
+}
+rule positive-ner {
+  event: FAILURE
+  tier: high
+  trigger: [lemma=fail|launch & !ner=DATE] [surface=Proton-M & ner=LAUNCH_VEHICLE | surface=LAUNCHED]
+  slot LaunchVehicle required {
+    path: >nsubj|obj <dobj?
+    filler: entity(LAUNCH_VEHICLE, SPACECRAFT)
+  }
+}
+"""
+
+
+def test_compiled_extraction_equals_reference_scan():
+    rng = random.Random(2024)
+    # case variants share one dispatch key with "launched" but must match exactly
+    vocab = word_vocab(40) + [w for w, _, _ in TRIGGER_WORDS] + ["Launched", "LAUNCHED", "NASA"]
+    docs = random_corpus(rng, 60, vocab=vocab, trigger_chance=0.15, entity_chance=0.2)
+    rules = (
+        [random_rule(rng, f"r{i:03d}", vocab) for i in range(200)]
+        + _reference_rules()
+        + parse_rules(HAND_RULES)
+    )
+    atoms = [atom for r in rules for p in r.trigger for b in p.branches for atom in b]
+    literals = _first_bracket_literals(rules)
+    assert any(len(rule.trigger) > 1 for rule in rules)
+    assert any(atom.negated for atom in atoms)
+    assert any(atom.field == "ner" and not atom.negated for atom in atoms)
+    assert any(
+        atom.field == "surface" and any(v != v.lower() for v in atom.values) for atom in atoms
+    )
+    assert max(literals.count(term) for term in literals) >= 2
+
+    ner = _reference_ner()
+    expected = _reference_extract(docs, rules, ner)
+    assert {ev.rule_name for ev in expected} & {"mixed-case-surface", "positive-ner"}
+    assert len({ev.rule_name for ev in expected}) > 50
+    assert extract_events(docs, rules, ner=ner) == expected
+    assert extract_events(docs, rules, index=build_index(docs), ner=ner) == expected
+
+
+def test_ner_runs_only_on_sentences_holding_a_table_literal():
+    docs = random_corpus(random.Random(8), 80, trigger_chance=0.05, entity_chance=0.2)
+    rules = _reference_rules()
+    literals = set(_first_bracket_literals(rules))
+    holding = {
+        id(sent)
+        for doc in docs
+        for sent in doc.sentences
+        if any(
+            index_term("surface", tok.surface) in literals
+            or index_term("lemma", tok.lemma) in literals
+            for tok in sent.tokens
+        )
+    }
+    assert 0 < len(holding) < sum(len(doc.sentences) for doc in docs)
+    ner = _reference_ner()
+    tagged = []
+
+    def counting_ner(sentence):
+        tagged.append(id(sentence))
+        return ner(sentence)
+
+    full = extract_events(docs, rules, ner=counting_ner)
+    assert sorted(tagged) == sorted(holding)
+    tagged.clear()
+    assert extract_events(docs, rules, index=build_index(docs), ner=counting_ner) == full
+    assert len(tagged) == len(set(tagged)) and set(tagged) <= holding
 
 
 def test_event_to_dict_shape():
