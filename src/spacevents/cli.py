@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from contextlib import redirect_stderr
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -283,21 +284,7 @@ def _cmd_stats(args, out, err) -> int:
             f"{row.event_type.title():<18} {row.split:<12} "
             f"{row.sentences:>10} {row.tagged_tokens:>10} {row.total_tokens:>10}\n"
         )
-    _write_json(
-        args,
-        {
-            "rows": [
-                {
-                    "event_type": r.event_type,
-                    "split": r.split,
-                    "sentences": r.sentences,
-                    "tagged_tokens": r.tagged_tokens,
-                    "total_tokens": r.total_tokens,
-                }
-                for r in rows
-            ]
-        },
-    )
+    _write_json(args, {"rows": [asdict(row) for row in rows]})
     return 0
 
 
@@ -312,17 +299,7 @@ def _cmd_errors(args, out, err) -> int:
     for name in ("span_error", "label_confusion", "spurious", "missed"):
         count = getattr(buckets, name)
         out.write(f"{name:<16} {count:>6} {int(proportions[name] * 100 + 0.5):>5}%\n")
-    _write_json(
-        args,
-        {
-            "exact": buckets.exact,
-            "span_error": buckets.span_error,
-            "label_confusion": buckets.label_confusion,
-            "spurious": buckets.spurious,
-            "missed": buckets.missed,
-            "proportions": proportions,
-        },
-    )
+    _write_json(args, {**asdict(buckets), "proportions": proportions})
     return 0
 
 

@@ -23,9 +23,7 @@ from typing import Mapping, Sequence
 
 from .documents import SPLITS
 from .errors import InputError, SchemaError
-from .schemas import SCHEMAS
-
-GENERIC_SLOTS = ("Organization", "Date")
+from .schemas import GENERIC_SLOTS, SCHEMAS
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +35,13 @@ class LabeledSpan:
     doc_id: str = ""
 
     def __post_init__(self):
+        for bound in (self.start, self.end):
+            if isinstance(bound, bool) or not isinstance(bound, int):
+                raise InputError(
+                    f"span start and end must be integers, found {bound!r}"
+                )
+        if not isinstance(self.label, str):
+            raise InputError(f"span label must be a string, found {self.label!r}")
         if self.start < 0 or self.end <= self.start:
             raise InputError(
                 f"bad span [{self.start}, {self.end}) in sentence {self.sentence_id!r}"
@@ -184,9 +189,9 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     """Read sentence annotation records from JSON lines.
 
     Required fields: ``sentence_id``, ``event_type``, ``spans`` (each
-    with ``start``, ``end``, ``label``).  Optional: ``doc_id``, ``split``
-    and either ``n_tokens`` or a ``tokens`` list (needed for corpus
-    statistics).
+    with integer ``start``, ``end`` and a string ``label``).  Optional:
+    ``doc_id``, ``split`` and either a non-negative integer ``n_tokens``
+    or a ``tokens`` list (needed for corpus statistics).
     Spans within one record must not overlap.
     """
     if isinstance(source, str):
@@ -240,8 +245,12 @@ def read_annotations(source) -> list[SentenceAnnotation]:
         n_tokens = obj.get("n_tokens")
         if n_tokens is None and isinstance(obj.get("tokens"), list):
             n_tokens = len(obj["tokens"])
-        if n_tokens is not None and (isinstance(n_tokens, bool) or not isinstance(n_tokens, int)):
-            raise SchemaError(f"line {line_no}: n_tokens must be an integer")
+        if n_tokens is not None and (
+            isinstance(n_tokens, bool) or not isinstance(n_tokens, int) or n_tokens < 0
+        ):
+            raise SchemaError(
+                f"line {line_no}: n_tokens must be an integer, not negative"
+            )
         split = obj.get("split")
         if split is not None and not isinstance(split, str):
             raise SchemaError(f"line {line_no}: split must be a string")

@@ -2,13 +2,12 @@
 
 Trigger token patterns are matched against contiguous token runs,
 found through one dispatch table of the rules' first-bracket literals
-(``_Matcher``); ``find_trigger_spans`` is the plain scan it must agree
-with.  Slot patterns then walk labeled dependency edges out from the
-trigger and turn the tokens they reach into slot fillers.  A filler is
-either the whole typed mention containing the reached token (entity
-fillers) or the maximal noun-phrase chunk around it (chunk fillers),
-never the bare token, so "the Hubble Space Telescope" comes out in one
-piece.
+and verified on the parsed rules themselves (``_Matcher``).  Slot
+patterns then walk labeled dependency edges out from the trigger and
+turn the tokens they reach into slot fillers.  A filler is either the
+whole typed mention containing the reached token (entity fillers) or
+the maximal noun-phrase chunk around it (chunk fillers), never the bare
+token, so "the Hubble Space Telescope" comes out in one piece.
 
 Path traversal works on frontier sets.  Each step maps the current
 frontier to the set of tokens reachable over one matching edge
@@ -124,41 +123,6 @@ def _entity_type_at(mentions: Sequence[Mention], n: int) -> list[str | None]:
     return types
 
 
-def _atom_matches(atom, token, ner_types) -> bool:
-    if atom.field == "surface":
-        value: str | None = token.surface
-    elif atom.field == "lemma":
-        value = token.lemma
-    elif atom.field == "pos":
-        value = token.pos
-    else:
-        value = ner_types[token.index]
-    hit = value is not None and value in atom.values
-    return hit != atom.negated
-
-
-def _pattern_matches(pattern: TokenPattern, token, ner_types) -> bool:
-    for branch in pattern.branches:
-        if all(_atom_matches(atom, token, ner_types) for atom in branch):
-            return True
-    return False
-
-
-def find_trigger_spans(
-    sentence: Sentence, trigger: Sequence[TokenPattern], ner_types: Sequence[str | None]
-) -> list[tuple[int, int]]:
-    tokens = sentence.tokens
-    width = len(trigger)
-    spans = []
-    for i in range(len(tokens) - width + 1):
-        if all(
-            _pattern_matches(trigger[j], tokens[i + j], ner_types)
-            for j in range(width)
-        ):
-            spans.append((i, i + width))
-    return spans
-
-
 def trigger_anchor(sentence: Sentence, span: tuple[int, int]) -> int:
     """The trigger span's syntactic head: leftmost token whose head is outside."""
     start, end = span
@@ -233,64 +197,34 @@ def _fill_slots(
     return events
 
 
-# A compiled atom: (field, values, negated).
-_Test = tuple[str, frozenset[str], bool]
-
-
-def _token_passes(
-    branches: tuple[tuple[_Test, ...], ...], token, ner_type: str | None
-) -> bool:
-    for branch in branches:
-        for field, values, negated in branch:
-            value = ner_type if field == "ner" else getattr(token, field)
-            if (value is not None and value in values) == negated:
+def _token_passes(pattern: TokenPattern, token, ner_type: str | None) -> bool:
+    for branch in pattern.branches:
+        for atom in branch:
+            value = ner_type if atom.field == "ner" else getattr(token, atom.field)
+            if (value is not None and value in atom.values) == atom.negated:
                 break
         else:
             return True
     return False
 
 
-@dataclass(frozen=True)
-class _CompiledRule:
-    rule: Rule
-    trigger: tuple[tuple[tuple[_Test, ...], ...], ...]  # bracket -> branch -> atom
-    needs: tuple[frozenset[str], ...]  # entity types of each required entity slot
-
-
 class _Matcher:
-    """A rule set compiled for matching: one literal dispatch table over all rules.
+    """A rule set ready for matching: one literal dispatch table over all rules.
 
     The table maps the index term of every indexable literal in a rule's
     first trigger bracket to the rules (by position) that bracket can
     start.  A trigger can only start at a token whose lowercased surface
     or lemma term is in the table, so one table lookup per token and
     field finds every possible trigger start; verification then checks
-    the whole trigger there with exact-case values.  This is
-    multi-pattern dispatch in the spirit of Aho-Corasick, over tokens
-    instead of characters.
+    the rule's whole trigger there, atom by atom, with exact-case
+    values.  This is multi-pattern dispatch in the spirit of
+    Aho-Corasick, over tokens instead of characters.
     """
 
     def __init__(self, rules: Sequence[Rule]):
-        self._rules: list[_CompiledRule] = []
+        self._rules = list(rules)
         table: dict[str, list[int]] = {}
-        for position, rule in enumerate(rules):
-            self._rules.append(
-                _CompiledRule(
-                    rule=rule,
-                    trigger=tuple(
-                        tuple(
-                            tuple((a.field, frozenset(a.values), a.negated) for a in branch)
-                            for branch in pattern.branches
-                        )
-                        for pattern in rule.trigger
-                    ),
-                    needs=tuple(
-                        frozenset(slot.entity_types)
-                        for slot in rule.slots
-                        if slot.required and not slot.is_chunk
-                    ),
-                )
-            )
+        for position, rule in enumerate(self._rules):
             for branch in rule.trigger[0].branches:
                 for atom in branch:
                     if atom.indexable:
@@ -322,23 +256,20 @@ class _Matcher:
         mentions = list(ner(sentence))
         tokens = sentence.tokens
         ner_types = _entity_type_at(mentions, len(tokens))
-        present = {mention.entity_type for mention in mentions}
         events: list[EventMention] = []
         for position in sorted(starts):
-            compiled = self._rules[position]
-            if any(present.isdisjoint(types) for types in compiled.needs):
-                continue  # a required slot has no mention it could take
-            width = len(compiled.trigger)
+            rule = self._rules[position]
+            width = len(rule.trigger)
             spans = [
                 (i, i + width)
                 for i in starts[position]
                 if i + width <= len(tokens)
                 and all(
-                    _token_passes(compiled.trigger[j], tokens[i + j], ner_types[i + j])
+                    _token_passes(rule.trigger[j], tokens[i + j], ner_types[i + j])
                     for j in range(width)
                 )
             ]
-            events.extend(_fill_slots(compiled.rule, sentence, mentions, spans, doc_id))
+            events.extend(_fill_slots(rule, sentence, mentions, spans, doc_id))
         return events
 
 
@@ -377,12 +308,10 @@ def extract_events(
 ) -> list[EventMention]:
     """Run every rule over the corpus and return events in canonical order.
 
-    The rules are compiled once into a literal dispatch table (see
-    ``_Matcher``): each token's surface and lemma terms are looked up
-    once, a sentence where no token hits the table is skipped without
-    running the NER layer, and only the rules anchored at a hit are
-    verified, after dropping those with a required entity slot whose
-    types no mention of the sentence has.
+    The rules share one literal dispatch table (see ``_Matcher``): each
+    token's surface and lemma terms are looked up once, a sentence where
+    no token hits the table is skipped without running the NER layer,
+    and only the rules anchored at a hit are verified.
 
     With ``index`` only the union of the rules' candidate sentences is
     visited; the result is identical to the full scan because candidate

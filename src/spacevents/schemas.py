@@ -50,6 +50,8 @@ class EventSchema:
 
 _ORG = SlotSpec("Organization", ("ORGANIZATION",), generic=True)
 _DATE = SlotSpec("Date", ("DATE",), generic=True)
+# The slots every event type shares; scoring micro-averages over them.
+GENERIC_SLOTS = (_ORG.name, _DATE.name)
 
 SCHEMAS: dict[str, EventSchema] = {
     "LAUNCH": EventSchema(

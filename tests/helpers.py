@@ -11,6 +11,7 @@ import random
 from datetime import date, timedelta
 from itertools import count
 from pathlib import Path
+from typing import Sequence
 
 from spacevents import (
     Atom,
@@ -242,6 +243,45 @@ def random_rule(rng: random.Random, name: str, vocab) -> Rule:
         trigger=trigger,
         slots=tuple(slots),
     )
+
+
+# ---------------------------------------------------------------------------
+# the reference trigger scan: every token position, every atom, no dispatch
+
+
+def _atom_matches(atom, token, ner_types) -> bool:
+    if atom.field == "surface":
+        value: str | None = token.surface
+    elif atom.field == "lemma":
+        value = token.lemma
+    elif atom.field == "pos":
+        value = token.pos
+    else:
+        value = ner_types[token.index]
+    hit = value is not None and value in atom.values
+    return hit != atom.negated
+
+
+def _pattern_matches(pattern: TokenPattern, token, ner_types) -> bool:
+    for branch in pattern.branches:
+        if all(_atom_matches(atom, token, ner_types) for atom in branch):
+            return True
+    return False
+
+
+def find_trigger_spans(
+    sentence: Sentence, trigger: Sequence[TokenPattern], ner_types: Sequence[str | None]
+) -> list[tuple[int, int]]:
+    tokens = sentence.tokens
+    width = len(trigger)
+    spans = []
+    for i in range(len(tokens) - width + 1):
+        if all(
+            _pattern_matches(trigger[j], tokens[i + j], ner_types)
+            for j in range(width)
+        ):
+            spans.append((i, i + width))
+    return spans
 
 
 # ---------------------------------------------------------------------------

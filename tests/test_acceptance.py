@@ -32,7 +32,6 @@ from spacevents import (
     corpus_stats,
     cosine_similarity,
     extract_events,
-    find_trigger_spans,
     micro_average,
     ner_layer,
     parse_rules,
@@ -52,6 +51,7 @@ from helpers import (
     TRIGGER_WORDS,
     brute_force_pools,
     dedup_corpus,
+    find_trigger_spans,
     random_corpus,
     random_rule,
     timing_corpus,

@@ -266,6 +266,21 @@ def test_score_universe_mismatch_is_an_input_error(tmp_path, score_files):
     assert "sentence sets differ" in err
 
 
+def test_score_rejects_a_non_string_label(tmp_path, score_files):
+    gold, _ = score_files
+    pred = tmp_path / "mixed.jsonl"
+    pred.write_text(
+        '{"sentence_id": "s1", "event_type": "LAUNCH", "spans": ['
+        '{"start": 0, "end": 2, "label": 5}, '
+        '{"start": 3, "end": 4, "label": "Payload"}]}\n',
+        encoding="utf-8",
+    )
+    code, out, err = run("score", "--gold", gold, "--pred", str(pred))
+    assert code == 1
+    assert out == ""
+    assert "spans[0]: span label must be a string, found 5" in err
+
+
 def test_stats_table(score_files, tmp_path):
     gold, _ = score_files
     json_path = tmp_path / "stats.json"

@@ -281,6 +281,21 @@ def test_read_annotations_errors():
             '{"sentence_id": "s", "event_type": "LAUNCH", '
             '"spans": [{"start": 2, "end": 2, "label": "Date"}]}'
         )
+    for bounds in (
+        '"start": 0.5, "end": 1', '"start": true, "end": 2', '"start": 0, "end": "2"'
+    ):
+        with pytest.raises(
+            SchemaError, match=r"spans\[0\]: span start and end must be integers"
+        ):
+            read_annotations(
+                '{"sentence_id": "s", "event_type": "LAUNCH", '
+                '"spans": [{' + bounds + ', "label": "Date"}]}'
+            )
+    with pytest.raises(SchemaError, match=r"spans\[0\]: span label must be a string"):
+        read_annotations(
+            '{"sentence_id": "s", "event_type": "LAUNCH", '
+            '"spans": [{"start": 0, "end": 1, "label": 5}]}'
+        )
     with pytest.raises(SchemaError, match="line 2: overlapping spans"):
         read_annotations(
             '{"sentence_id": "s", "event_type": "LAUNCH", "spans": []}\n'
@@ -290,6 +305,10 @@ def test_read_annotations_errors():
     with pytest.raises(SchemaError, match="n_tokens must be an integer"):
         read_annotations(
             '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [], "n_tokens": true}'
+        )
+    with pytest.raises(SchemaError, match="n_tokens must be an integer, not negative"):
+        read_annotations(
+            '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [], "n_tokens": -3}'
         )
     with pytest.raises(SchemaError, match="split must be a string"):
         read_annotations(

@@ -10,7 +10,6 @@ from spacevents import (
     compile_gazetteer,
     event_to_dict,
     extract_events,
-    find_trigger_spans,
     match_rule,
     ner_layer,
     parse_rules,
@@ -24,6 +23,7 @@ from spacevents.matching import _entity_type_at, _fill_slots, _tier_filter
 
 from helpers import (
     TRIGGER_WORDS,
+    find_trigger_spans,
     load_small_corpus,
     make_sentence,
     random_corpus,
