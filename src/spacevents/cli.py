@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from contextlib import redirect_stderr
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +36,14 @@ from .evaluation import (
     score_slots,
 )
 from .gazetteer import compile_gazetteer, ner_layer, read_gazetteer
-from .index import build_index, load_index, save_index
+from .index import (
+    InvertedIndex,
+    build_index,
+    candidate_sentences,
+    corpus_fingerprint,
+    load_index,
+    save_index,
+)
 from .matching import event_to_dict, extract_events
 from .rules import parse_rules
 from .schemas import ANNOTATION_HEADER, annotation_task_records, shortlist
@@ -79,32 +86,52 @@ def _workers(text: str) -> int:
     return value
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _decode(data: bytes, path: str) -> str:
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})")
 
 
-def _parse_documents(path: str, fmt: str | None):
-    if fmt is None:
-        fmt = "conllu" if path.endswith(".conllu") else "jsonl"
-    text = _read_text(path)
+def _read_text(path: str) -> str:
+    """A rules, gazetteer or annotation file, with any line ending read as ``\\n``."""
+    return _decode(_read_bytes(path), path).replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _corpus_format(path: str, fmt: str | None) -> str:
+    return fmt or ("conllu" if path.endswith(".conllu") else "jsonl")
+
+
+def _parse(text: str, fmt: str):
     return parse_conllu(text) if fmt == "conllu" else parse_jsonl_documents(text)
 
 
-def _read_documents(path: str, fmt: str | None):
+def _parse_documents(path: str, fmt: str | None):
+    # corpus bytes are decoded as they are, without newline translation: the
+    # parsers own line endings, so index offsets agree with the parsed lines
+    return _parse(_decode(_read_bytes(path), path), _corpus_format(path, fmt))
+
+
+def _unique(docs, path: str):
     # output is keyed by (document id, sentence id), so a repeated document
     # id would mislabel it; only ``validate`` reads such a corpus, to report it
-    docs = _parse_documents(path, fmt)
     seen: set[str] = set()
     for doc in docs:
         if doc.id in seen:
             raise InputError(f"{path}: duplicate document id {doc.id!r}")
         seen.add(doc.id)
     return docs
+
+
+def _read_documents(path: str, fmt: str | None):
+    return _unique(_parse_documents(path, fmt), path)
 
 
 def _packaged(name: str) -> str:
@@ -192,9 +219,12 @@ def _cmd_ner(args, out, err) -> int:
 
 
 def _cmd_index(args, out, err) -> int:
-    docs = _read_documents(args.corpus, args.format)
+    fmt = _corpus_format(args.corpus, args.format)
+    data = _read_bytes(args.corpus)
+    docs = _unique(_parse(_decode(data, args.corpus), fmt), args.corpus)
     index = build_index(docs, workers=args.workers)
-    save_index(index, args.index)
+    corpus = corpus_fingerprint(data, fmt, [doc.id for doc in docs])
+    save_index(replace(index, corpus=corpus), args.index)
     n_sentences = sum(len(doc.sentences) for doc in docs)
     print(
         f"indexed {len(docs)} documents / {n_sentences} sentences: "
@@ -204,17 +234,45 @@ def _cmd_index(args, out, err) -> int:
     return 0
 
 
+def _candidate_documents(args, index: InvertedIndex, rules):
+    """Parse only the corpus documents that hold a candidate sentence of some rule.
+
+    The index must fingerprint this very file: then every skipped byte
+    was parsed and validated in full when the index was built, duplicate
+    document ids included, and the scan's result is unchanged.
+    """
+    corpus = index.corpus
+    if corpus is None:
+        raise InputError(
+            f"{args.index}: index has no corpus fingerprint; "
+            "rebuild the index with 'spacevents index'"
+        )
+    fmt = _corpus_format(args.corpus, args.format)
+    data = _read_bytes(args.corpus)
+    if not corpus.matches(data, fmt):
+        raise InputError(f"{args.index}: built for a different corpus")
+    wanted = {doc_id for rule in rules for doc_id, _ in candidate_sentences(index, rule)}
+    docs = []
+    for doc_id, offset, length in corpus.documents:
+        if doc_id in wanted:
+            wanted.discard(doc_id)
+            parsed = _parse(_decode(data[offset : offset + length], args.corpus), fmt)
+            if [doc.id for doc in parsed] != [doc_id]:
+                raise InputError(f"{args.index}: document table does not match the corpus")
+            docs.extend(parsed)
+    if wanted:
+        raise InputError(f"{args.index}: document table does not match the corpus")
+    return docs
+
+
 def _extract(args):
-    docs = _read_documents(args.corpus, args.format)
     rules = _load_rules(args.rules)
     index = None
     if getattr(args, "index", None):
         index = load_index(args.index)
-        # an index of other sentences would silently skip events; edits that
-        # keep every (doc id, sentence id) pass this check undetected
-        corpus_refs = sorted((doc.id, sent.id) for doc in docs for sent in doc.sentences)
-        if index.sentences != tuple(corpus_refs):
-            raise InputError(f"{args.index}: built for a different corpus")
+        docs = _candidate_documents(args, index, rules)
+    else:
+        docs = _read_documents(args.corpus, args.format)
     layer = ner_layer(_load_gazetteer(args.gazetteer))
     events = extract_events(docs, rules, index=index, ner=layer, workers=args.workers)
     return docs, events

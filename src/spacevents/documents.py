@@ -9,6 +9,10 @@ supported and round-trip through each other:
   pairs in the MISC column.
 * JSON lines, one document object per line; see ``parse_jsonl_documents``.
 
+In both a line ends at ``\n``, after dropping one ``\r`` before it (see
+``_lines``).  ``document_spans`` finds each document's bytes in a corpus
+file without parsing it, so a reader can parse only the documents it needs.
+
 Every loaded sentence is checked for structural sanity: exactly one edge
 per token, exactly one root, no cycles.  Edges are kept in a canonical
 order (by dependent) so that equal sentences compare equal regardless of
@@ -18,6 +22,7 @@ the order edges appeared in the input.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
@@ -214,9 +219,60 @@ def validate_corpus(docs: Iterable[Document]) -> ValidationReport:
 
 
 def _lines(source) -> Iterator[str]:
+    """The lines of a string or line iterable, for both formats.
+
+    A line ends at ``\n`` only, and one ``\r`` before it is dropped, so
+    characters such as U+2028 or U+0085 stay inside a token.  The line
+    boundaries are the ones ``document_spans`` finds in the file's bytes.
+    """
     if isinstance(source, str):
-        return iter(source.splitlines())
-    return iter(source)
+        lines = source.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline, or is empty
+    else:
+        lines = (raw[:-1] if raw.endswith("\n") else raw for raw in source)
+    return (line[:-1] if line.endswith("\r") else line for line in lines)
+
+
+_NEWDOC_KEY = re.compile(rb"^#([^=\n]*)=", re.MULTILINE)
+
+
+def _blank(line: bytes) -> bool:
+    """Whether the decoded line is all whitespace, as ``str.strip`` sees it."""
+    head = line.lstrip()[:1]
+    if head and 0x21 <= head[0] <= 0x7E:
+        return False  # printable ASCII is never whitespace; skip the decode
+    return not line.decode("utf-8", "replace").strip()
+
+
+def document_spans(data: bytes, fmt: str) -> list[tuple[int, int]]:
+    """The (byte offset, byte length) of each document in a corpus file, in file order.
+
+    A CoNLL-U document runs from its ``# newdoc id`` line, recognised as
+    ``parse_conllu`` recognises it, to the next one or the end of the
+    file; a JSONL document is one non-blank line.  For any file the
+    parsers accept, parsing each span alone gives that document, the same
+    as parsing the whole file.  UTF-8 never puts ``\n`` or ``\r`` inside
+    a multi-byte character, so lines split the same in bytes as in text.
+    """
+    if fmt == "conllu":
+        starts = [
+            m.start()
+            for m in _NEWDOC_KEY.finditer(data)
+            if m.group(1).decode("utf-8", "replace").strip() == "newdoc id"
+        ]
+        ends = starts[1:] + [len(data)]
+        return [(start, end - start) for start, end in zip(starts, ends)]
+    spans: list[tuple[int, int]] = []
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        if not _blank(data[start:end]):
+            spans.append((start, end - start))
+        start = end + 1
+    return spans
 
 
 def _parse_date(value: str, line: int) -> date:
@@ -290,15 +346,20 @@ def parse_conllu(source) -> list[Document]:
         sentences = []
         sent_ids = set()
 
-    for line_no, raw in enumerate(_lines(source), start=1):
+    for line_no, line in enumerate(_lines(source), start=1):
         last_line = line_no
-        line = raw.rstrip("\r\n")
         if not line.strip():
             close_sentence()
             continue
         if line.startswith("#"):
             if tokens:
                 raise ParseError("comment lines must precede token lines", line=line_no)
+            if "\r" in line:
+                # a file with lone \r line endings reads as one comment line
+                raise ParseError(
+                    "carriage return inside a comment line (lines end in \\n or \\r\\n)",
+                    line=line_no,
+                )
             key, sep, value = line[1:].partition("=")
             key = key.strip()
             value = value.strip()

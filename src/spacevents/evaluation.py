@@ -192,7 +192,7 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     with integer ``start``, ``end`` and a string ``label``).  Optional:
     ``doc_id``, ``split`` and either a non-negative integer ``n_tokens``
     or a ``tokens`` list (needed for corpus statistics).
-    Spans within one record must not overlap.
+    Spans within one record must not overlap, nor end past that token count.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -251,6 +251,12 @@ def read_annotations(source) -> list[SentenceAnnotation]:
             raise SchemaError(
                 f"line {line_no}: n_tokens must be an integer, not negative"
             )
+        for i, span in enumerate(spans):
+            if n_tokens is not None and span.end > n_tokens:
+                raise SchemaError(
+                    f"line {line_no}: spans[{i}] ends at {span.end}, "
+                    f"past the sentence's {n_tokens} tokens"
+                )
         split = obj.get("split")
         if split is not None and not isinstance(split, str):
             raise SchemaError(f"line {line_no}: split must be a string")

@@ -14,17 +14,29 @@ so the garbage collector never traverses them, and loading a file copies
 each posting list in one step.  ``refs`` turns a posting list back into
 refs.
 
+An index may also carry the ``CorpusFingerprint`` of the file it was
+built from: its format, the ``sha256`` of its bytes, and where each
+document lies in it.  With it a reader that finds the same hash can
+parse only the documents it needs, because every other byte is known to
+be what the index was built from.  ``build_index`` leaves it unset.
+
 On-disk layout, all integers little-endian:
 
     magic    6 bytes   b"SEVIDX"
-    version  u16       currently 1
+    version  u16       currently 2
     n_refs   u32
     refs     n_refs x (u16 + utf-8 doc id, u16 + utf-8 sentence id)
     n_terms  u32
     terms    n_terms x (u16 + utf-8 term, u32 count, count x u32 ref index)
+    format   u16 + utf-8 corpus format ("conllu" or "jsonl"), empty when
+             the index has no fingerprint and the file ends here
+    sha256   32 bytes  digest of the corpus file
+    n_docs   u32
+    docs     n_docs x (u16 + utf-8 doc id, u64 byte offset, u64 byte length)
 
-Refs are sorted by (doc id, sentence id) and terms are sorted, so the
-same corpus always serializes to the same bytes.
+Refs, terms and documents are sorted by id, so the same corpus file
+always serializes to the same bytes.  A version 1 file, which has no
+fingerprint, is refused with a request to rebuild it.
 """
 
 from __future__ import annotations
@@ -36,20 +48,54 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .documents import Document
-from .errors import InputError
+from .documents import Document, document_spans
+from .errors import InputError, SpaceventsError
 from .rules import Atom, Rule
 
 MAGIC = b"SEVIDX"
-VERSION = 1
+VERSION = 2
 
 Ref = tuple[str, str]  # (doc id, sentence id)
+
+
+@dataclass(frozen=True)
+class CorpusFingerprint:
+    """The corpus file an index was built from."""
+
+    format: str  # "conllu" or "jsonl"
+    sha256: bytes  # digest of the file's bytes
+    documents: tuple[tuple[str, int, int], ...]  # (doc id, byte offset, byte length), by id
+
+    def matches(self, data: bytes, fmt: str) -> bool:
+        """Whether ``data``, read as ``fmt``, is the file this fingerprints."""
+        return self.format == fmt and self.sha256 == _sha256(data)
+
+
+def _sha256(data: bytes) -> bytes:
+    import hashlib  # loads OpenSSL, which commands that take no digest need not pay for
+
+    return hashlib.sha256(data).digest()
+
+
+def corpus_fingerprint(data: bytes, fmt: str, doc_ids: Sequence[str]) -> CorpusFingerprint:
+    """Fingerprint corpus file bytes whose documents parsed to ``doc_ids``, in file order."""
+    spans = document_spans(data, fmt)
+    if len(spans) != len(doc_ids):
+        raise SpaceventsError(
+            f"found {len(spans)} document spans for {len(doc_ids)} parsed documents"
+        )
+    return CorpusFingerprint(
+        format=fmt,
+        sha256=_sha256(data),
+        documents=tuple(sorted((doc_id, *span) for doc_id, span in zip(doc_ids, spans))),
+    )
 
 
 @dataclass(frozen=True)
 class InvertedIndex:
     postings: Mapping[str, array]  # term -> ids: positions in ``sentences``
     sentences: tuple[Ref, ...] = ()
+    corpus: CorpusFingerprint | None = None
 
     def refs(self, term: str) -> tuple[Ref, ...]:
         return tuple(map(self.sentences.__getitem__, self.postings.get(term, ())))
@@ -121,27 +167,35 @@ def _u32s(ids: array) -> bytes:
     return ids.tobytes()
 
 
+def _string(text: str, what: str) -> bytes:
+    """``text`` as u16 length + utf-8 bytes."""
+    data = text.encode("utf-8")
+    if len(data) > 0xFFFF:
+        raise InputError(f"{what} too long to serialize: {text[:40]!r}...")
+    return struct.pack("<H", len(data)) + data
+
+
 def save_index(index: InvertedIndex, path) -> None:
     chunks: list[bytes] = [MAGIC, struct.pack("<H", VERSION)]
     chunks.append(struct.pack("<I", len(index.sentences)))
     for doc_id, sent_id in index.sentences:
-        for part in (doc_id, sent_id):
-            data = part.encode("utf-8")
-            if len(data) > 0xFFFF:
-                raise InputError(f"identifier too long to serialize: {part[:40]!r}...")
-            chunks.append(struct.pack("<H", len(data)))
-            chunks.append(data)
+        chunks.append(_string(doc_id, "identifier"))
+        chunks.append(_string(sent_id, "identifier"))
     terms = sorted(index.postings)
     chunks.append(struct.pack("<I", len(terms)))
     for term in terms:
-        data = term.encode("utf-8")
-        if len(data) > 0xFFFF:
-            raise InputError(f"term too long to serialize: {term[:40]!r}...")
         ids = index.postings[term]
-        chunks.append(struct.pack("<H", len(data)))
-        chunks.append(data)
+        chunks.append(_string(term, "term"))
         chunks.append(struct.pack("<I", len(ids)))
         chunks.append(_u32s(ids))
+    corpus = index.corpus
+    chunks.append(_string("" if corpus is None else corpus.format, "format"))
+    if corpus is not None:
+        chunks.append(corpus.sha256)
+        chunks.append(struct.pack("<I", len(corpus.documents)))
+        for doc_id, offset, length in corpus.documents:
+            chunks.append(_string(doc_id, "identifier"))
+            chunks.append(struct.pack("<QQ", offset, length))
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -163,6 +217,9 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
+
     def string(self) -> str:
         data = self.take(self.u16())
         try:
@@ -183,6 +240,11 @@ def load_index(path) -> InvertedIndex:
     if reader.take(len(MAGIC)) != MAGIC:
         raise InputError(f"{path}: not an index file (bad magic)")
     version = reader.u16()
+    if version == 1:
+        raise InputError(
+            f"{path}: index version 1 does not fingerprint its corpus; "
+            "rebuild the index with 'spacevents index'"
+        )
     if version != VERSION:
         raise InputError(f"{path}: unsupported index version {version}")
     sentences = tuple((reader.string(), reader.string()) for _ in range(reader.u32()))
@@ -195,6 +257,14 @@ def load_index(path) -> InvertedIndex:
         if ids and max(ids) >= len(sentences):
             raise InputError(f"{path}: posting references unknown ref")
         postings[term] = ids
+    corpus = None
+    fmt = reader.string()
+    if fmt:
+        digest = reader.take(32)
+        documents = tuple(
+            (reader.string(), reader.u64(), reader.u64()) for _ in range(reader.u32())
+        )
+        corpus = CorpusFingerprint(format=fmt, sha256=digest, documents=documents)
     if not reader.done():
         raise InputError(f"{path}: trailing bytes after index data")
-    return InvertedIndex(postings=postings, sentences=sentences)
+    return InvertedIndex(postings=postings, sentences=sentences, corpus=corpus)

@@ -1,18 +1,28 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import spacevents
-from spacevents import ANNOTATION_HEADER, parse_jsonl_documents, serialize_jsonl_documents
+from spacevents import (
+    ANNOTATION_HEADER,
+    build_index,
+    load_index,
+    parse_jsonl_documents,
+    save_index,
+    serialize_conllu,
+    serialize_jsonl_documents,
+)
 from spacevents.cli import main
 from spacevents.errors import SpaceventsError
 
-from helpers import FIXTURES, load_small_corpus
+from helpers import FIXTURES, load_small_corpus, random_corpus
 
 CORPUS = str(FIXTURES / "small.conllu")
 
@@ -97,6 +107,147 @@ def test_index_of_another_corpus_is_an_input_error(tmp_path):
     code, out, _ = run("extract", "--corpus", CORPUS, "--index", str(whole))
     assert code == 0
     assert len(lines_of(out)) == 4
+
+
+# a third document that no reference rule's trigger can match
+QUIET_DOC = (
+    "\n# newdoc id = d3\n# sent_id = s1\n"
+    "1\tEngineers\tengineer\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n"
+    "2\tchecked\tcheck\tVERB\tVBD\t_\t0\troot\t_\t_\n"
+    "3\tNOAA-19\tNOAA-19\tPROPN\tNNP\t_\t2\tobj\t_\t_\n\n"
+)
+
+
+def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monkeypatch):
+    import spacevents.cli as cli
+
+    corpus = tmp_path / "three.conllu"
+    corpus.write_text(Path(CORPUS).read_text(encoding="utf-8") + QUIET_DOC, encoding="utf-8")
+    index_path = tmp_path / "three.idx"
+    assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
+
+    # only the candidate documents are parsed, and the output is unchanged
+    parsed = []
+    original = cli.parse_conllu
+
+    def recording(text):
+        docs = original(text)
+        parsed.extend(doc.id for doc in docs)
+        return docs
+
+    monkeypatch.setattr(cli, "parse_conllu", recording)
+    code, indexed, _ = run("extract", "--corpus", str(corpus), "--index", str(index_path))
+    assert code == 0
+    assert parsed == ["d1", "d2"]
+    assert indexed == run("extract", "--corpus", CORPUS)[1]
+    monkeypatch.undo()
+
+    # same ids, one token changed in d3: the sentence table still agrees
+    corpus.write_text(
+        corpus.read_text(encoding="utf-8").replace("\tchecked\tcheck\t", "\ttested\ttest\t"),
+        encoding="utf-8",
+    )
+    code, out, err = run("extract", "--corpus", str(corpus), "--index", str(index_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {index_path}: built for a different corpus\n"
+
+
+def test_index_of_the_same_documents_in_another_format_is_an_input_error(tmp_path):
+    jsonl = tmp_path / "small.jsonl"
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    index_path = tmp_path / "small.idx"
+    assert run("index", "--corpus", str(jsonl), "--index", str(index_path))[0] == 0
+    code, out, err = run("extract", "--corpus", str(jsonl), "--index", str(index_path))
+    assert code == 0 and len(lines_of(out)) == 4
+    for argv in (
+        ("--corpus", CORPUS),
+        ("--corpus", str(jsonl), "--format", "conllu"),
+    ):
+        code, out, err = run("extract", *argv, "--index", str(index_path))
+        assert code == 1, argv
+        assert err == f"error: {index_path}: built for a different corpus\n"
+
+
+def test_index_without_a_corpus_fingerprint_is_an_input_error(tmp_path):
+    version_1 = tmp_path / "v1.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(version_1))[0] == 0
+    data = bytearray(version_1.read_bytes())
+    data[6:8] = (1).to_bytes(2, "little")
+    version_1.write_bytes(bytes(data))
+    unfingerprinted = tmp_path / "library.idx"
+    save_index(build_index(load_small_corpus()), unfingerprinted)
+    for index_path in (version_1, unfingerprinted):
+        for command in ("extract", "shortlist", "export-annotation"):
+            code, out, err = run(command, "--corpus", CORPUS, "--index", str(index_path))
+            assert code == 1, (index_path, command)
+            assert out == ""
+            assert err.startswith(f"error: {index_path}: ")
+            assert "rebuild the index with 'spacevents index'" in err
+
+
+def test_document_table_that_misplaces_a_document_is_an_input_error(tmp_path):
+    index_path = tmp_path / "small.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
+    index = load_index(index_path)
+    (d1, off1, len1), (d2, off2, len2) = index.corpus.documents
+    for documents in (((d1, off2, len2), (d2, off1, len1)), ((d1, off1, len1),)):
+        forged = replace(index, corpus=replace(index.corpus, documents=documents))
+        save_index(forged, index_path)
+        code, out, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
+        assert code == 1
+        assert err == f"error: {index_path}: document table does not match the corpus\n"
+
+
+def _corpus_copies(tmp_path, docs):
+    conllu = serialize_conllu(docs)
+    copies = {
+        "corpus.conllu": conllu,
+        "corpus.jsonl": serialize_jsonl_documents(docs),
+        "crlf.conllu": conllu.replace("\n", "\r\n"),
+    }
+    for name, text in copies.items():
+        tmp_path.joinpath(name).write_bytes(text.encode("utf-8"))
+    return [tmp_path / name for name in copies]
+
+
+def test_commands_print_the_same_with_and_without_an_index_on_random_corpora(tmp_path):
+    docs = random_corpus(random.Random(5), 150, trigger_chance=0.10, entity_chance=0.15)
+    outputs = set()
+    for corpus in _corpus_copies(tmp_path, docs):
+        index_path = tmp_path / f"{corpus.name}.idx"
+        assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
+        for argv in (
+            ("extract",),
+            ("shortlist", "--sample", "LAUNCH=0.5", "--seed", "3"),
+            ("export-annotation", "--sample", "FAILURE=0.5", "--seed", "11"),
+        ):
+            code, plain, _ = run(*argv, "--corpus", str(corpus))
+            assert code == 0
+            assert len(plain.splitlines()) > 10, argv
+            code, indexed, _ = run(*argv, "--corpus", str(corpus), "--index", str(index_path))
+            assert code == 0
+            assert indexed == plain, (corpus.name, argv)
+            outputs.add((argv, plain))
+    assert len(outputs) == 3  # every copy of the corpus prints the same
+
+
+def test_ingest_keeps_unicode_line_breaks_inside_tokens(tmp_path):
+    d1, d2 = load_small_corpus()
+    first = d1.sentences[0]
+    tok = first.tokens[4]
+    odd = replace(tok, surface="Space\u2028Age\u0085")
+    d1 = replace(d1, sentences=(replace(first, tokens=first.tokens[:4] + (odd,) + first.tokens[5:]),)
+                 + d1.sentences[1:])
+    conllu = tmp_path / "odd.conllu"
+    conllu.write_text(serialize_conllu([d1, d2]), encoding="utf-8")
+    jsonl = tmp_path / "odd.jsonl"
+    assert run("ingest", "--corpus", str(conllu), stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    assert "\u2028" in jsonl.read_text(encoding="utf-8")
+    code, again, _ = run("ingest", "--corpus", str(jsonl))
+    assert code == 0
+    assert parse_jsonl_documents(again) == [d1, d2]
+    assert run("extract", "--corpus", str(jsonl))[1] == run("extract", "--corpus", str(conllu))[1]
 
 
 def test_worker_count_is_invisible_in_output():
@@ -299,6 +450,19 @@ def test_stats_table(score_files, tmp_path):
             "total_tokens": 15,
         }
     ]
+
+
+def test_annotation_span_past_the_token_count_is_an_input_error(tmp_path):
+    annotations = tmp_path / "long-span.jsonl"
+    annotations.write_text(
+        '{"sentence_id":"s0","event_type":"LAUNCH","n_tokens":3,'
+        '"spans":[{"start":0,"end":8,"label":"Payload"}]}\n',
+        encoding="utf-8",
+    )
+    code, out, err = run("stats", "--annotations", str(annotations))
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 1: spans[0] ends at 8, past the sentence's 3 tokens\n"
 
 
 def test_errors_table(score_files):

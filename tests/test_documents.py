@@ -16,7 +16,7 @@ from spacevents import (
     serialize_jsonl_documents,
     validate_corpus,
 )
-from spacevents.documents import document_to_dict, sentence_issues
+from spacevents.documents import document_spans, document_to_dict, sentence_issues
 from spacevents.errors import ParseError, SchemaError, StructureError
 
 from helpers import load_small_corpus, make_sentence, random_corpus
@@ -124,6 +124,105 @@ def test_document_to_dict_omits_defaults():
 def test_parse_accepts_line_iterables():
     text = serialize_conllu(load_small_corpus())
     assert parse_conllu(text.splitlines()) == load_small_corpus()
+    assert parse_conllu(text.splitlines(keepends=True)) == load_small_corpus()
+    crlf = serialize_jsonl_documents(load_small_corpus()).replace("\n", "\r\n")
+    assert parse_jsonl_documents(crlf.splitlines(keepends=True)) == load_small_corpus()
+
+
+# Unicode line breaks that ``str.splitlines`` would split at, written raw by
+# both serializers
+LINE_BREAK_LOOKALIKES = "\u2028\u0085\u2029\x1c\x1d\x1e\x0b\x0c"
+
+
+def _with_surface(doc, position, surface):
+    sent = doc.sentences[0]
+    tokens = list(sent.tokens)
+    tok = tokens[position]
+    tokens[position] = Token(tok.index, surface, tok.lemma, tok.pos, tok.generic_ner, tok.chunk)
+    sentences = (Sentence(sent.id, tuple(tokens), sent.edges),) + doc.sentences[1:]
+    return Document(doc.id, sentences, doc.source, doc.collected_at, doc.split)
+
+
+def test_unicode_line_breaks_inside_tokens_round_trip():
+    d1, d2 = load_small_corpus()
+    docs = [_with_surface(d1, 0, "a\u2028b"), _with_surface(d2, 2, "c\u0085d" + LINE_BREAK_LOOKALIKES)]
+    conllu = serialize_conllu(docs)
+    jsonl = serialize_jsonl_documents(docs)
+    assert "\u2028" in conllu and "\u2028" in jsonl and "\u0085" in jsonl
+    assert parse_conllu(conllu) == docs
+    assert parse_jsonl_documents(jsonl) == docs
+    assert parse_conllu(conllu.replace("\n", "\r\n")) == docs
+    assert parse_jsonl_documents(jsonl.replace("\n", "\r\n")) == docs
+
+
+def test_lone_carriage_return_line_endings_are_rejected():
+    conllu = serialize_conllu(load_small_corpus()).replace("\n", "\r")
+    with pytest.raises(ParseError, match="line 1: carriage return inside a comment line"):
+        parse_conllu(conllu)
+    jsonl = serialize_jsonl_documents(load_small_corpus()).replace("\n", "\r")
+    with pytest.raises(SchemaError, match="line 1: invalid JSON"):
+        parse_jsonl_documents(jsonl)
+
+
+# ---------------------------------------------------------------------------
+# document spans
+
+
+def _parse(text, fmt):
+    return parse_conllu(text) if fmt == "conllu" else parse_jsonl_documents(text)
+
+
+def assert_spans_parse_alone(data: bytes, fmt: str):
+    """Each document span parses alone to that document, in the whole file's order."""
+    whole = _parse(data.decode("utf-8"), fmt)
+    spans = document_spans(data, fmt)
+    assert len(spans) == len(whole)
+    for (offset, length), doc in zip(spans, whole):
+        assert _parse(data[offset : offset + length].decode("utf-8"), fmt) == [doc]
+    return spans
+
+
+def test_document_spans_agree_with_a_full_parse_on_random_corpora():
+    rng = random.Random(31)
+    for trial in range(12):
+        docs = random_corpus(
+            rng, rng.randint(0, 12), trigger_chance=0.1, entity_chance=0.1, dated=trial % 2 == 0
+        )
+        for text, fmt in (
+            (serialize_conllu(docs), "conllu"),
+            (serialize_jsonl_documents(docs), "jsonl"),
+        ):
+            for variant in (text, text.replace("\n", "\r\n"), text.rstrip("\n")):
+                data = variant.encode("utf-8")
+                spans = assert_spans_parse_alone(data, fmt)
+                assert [o for o, _ in spans] == sorted(o for o, _ in spans)
+
+
+def test_conllu_spans_start_at_newdoc_lines_as_the_parser_reads_them():
+    doc = "# sent_id = s\n1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n"
+    data = (
+        "# preamble comment\n\n# key = value\n"
+        "#newdoc id=a\n" + doc + "\n# between documents\n# source = late\n\n"
+        "#\t newdoc id\u00a0 = b\r\n# split = dev\n" + doc + "\n"
+        "# newdoc id = c\n" + doc + "\n\n"
+    ).encode("utf-8")
+    spans = assert_spans_parse_alone(data, "conllu")
+    assert parse_conllu(data.decode())[0].source == "late"
+    assert [data[o : o + n].split(b"\n", 1)[0] for o, n in spans] == [
+        b"#newdoc id=a", "#\t newdoc id\u00a0 = b\r".encode(), b"# newdoc id = c"
+    ]
+    assert sum(n for _, n in spans) == len(data) - data.index(b"#newdoc")
+    assert document_spans(b"", "conllu") == []
+
+
+def test_jsonl_spans_skip_lines_the_parser_reads_as_blank():
+    docs = serialize_jsonl_documents(load_small_corpus()).splitlines()
+    data = (
+        "\n  \t\n\u2028\x1c\u00a0\n" + docs[0] + "\r\n\r\n \u3000\n  " + docs[1] + "\u2028"
+    ).encode("utf-8")
+    spans = assert_spans_parse_alone(data, "jsonl")
+    assert len(spans) == 2
+    assert document_spans(b"", "jsonl") == document_spans(b"\n \n", "jsonl") == []
 
 
 def _conllu(*lines):

@@ -314,6 +314,18 @@ def test_read_annotations_errors():
         read_annotations(
             '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [], "split": 3}'
         )
+    with pytest.raises(
+        SchemaError, match=r"line 1: spans\[1\] ends at 8, past the sentence's 3 tokens"
+    ):
+        read_annotations(
+            '{"sentence_id": "s", "event_type": "LAUNCH", "n_tokens": 3, "spans": ['
+            '{"start": 0, "end": 3, "label": "A"}, {"start": 3, "end": 8, "label": "B"}]}'
+        )
+    with pytest.raises(SchemaError, match=r"spans\[0\] ends at 3, past the sentence's 2 tokens"):
+        read_annotations(
+            '{"sentence_id": "s", "event_type": "LAUNCH", "tokens": ["a", "b"], '
+            '"spans": [{"start": 1, "end": 3, "label": "A"}]}'
+        )
     with pytest.raises(SchemaError, match="doc_id must be a string"):
         read_annotations(
             '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [], "doc_id": null}'

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,10 +12,11 @@ from spacevents import (
     parse_rules,
     save_index,
 )
-from spacevents.index import MAGIC
-from spacevents.errors import InputError
+from spacevents.index import MAGIC, CorpusFingerprint, corpus_fingerprint
+from spacevents.errors import InputError, SpaceventsError
 
 from helpers import (
+    FIXTURES,
     TRIGGER_WORDS,
     load_small_corpus,
     random_corpus,
@@ -142,6 +145,52 @@ def test_serialization_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _fingerprinted(docs=None):
+    """The small corpus's index, fingerprinted; ``docs`` is the corpus in another order."""
+    data = FIXTURES.joinpath("small.conllu").read_bytes()
+    in_file_order = load_small_corpus()
+    corpus = corpus_fingerprint(data, "conllu", [doc.id for doc in in_file_order])
+    return replace(build_index(in_file_order if docs is None else docs), corpus=corpus)
+
+
+def test_corpus_fingerprint_hashes_and_locates_every_document():
+    data = FIXTURES.joinpath("small.conllu").read_bytes()
+    corpus = _fingerprinted().corpus
+    assert corpus.format == "conllu"
+    assert corpus.sha256 == hashlib.sha256(data).digest()
+    start_d2 = data.index(b"# newdoc id = d2")
+    assert corpus.documents == (("d1", 0, start_d2), ("d2", start_d2, len(data) - start_d2))
+    assert corpus.matches(data, "conllu")
+    assert not corpus.matches(data, "jsonl")
+    assert not corpus.matches(data.replace(b"Cape", b"Capo"), "conllu")
+    with pytest.raises(SpaceventsError, match="found 2 document spans for 1 parsed documents"):
+        corpus_fingerprint(data, "conllu", ["d1"])
+
+
+def test_fingerprint_roundtrip_and_deterministic_bytes(tmp_path):
+    a, b = tmp_path / "a.idx", tmp_path / "b.idx"
+    index = _fingerprinted()
+    save_index(index, a)
+    assert load_index(a) == index
+    save_index(_fingerprinted(list(reversed(load_small_corpus()))), b)
+    assert a.read_bytes() == b.read_bytes()
+    # the fingerprint is appended after the terms of an index without one
+    save_index(replace(index, corpus=None), b)
+    plain = b.read_bytes()
+    assert plain.endswith(b"\x00\x00")
+    assert a.read_bytes().startswith(plain[:-2])
+
+
+def test_version_1_files_ask_for_a_rebuild(tmp_path):
+    path = tmp_path / "old.idx"
+    save_index(_fingerprinted(), path)
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC) : len(MAGIC) + 2] = (1).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputError, match="index version 1 .*rebuild the index"):
+        load_index(path)
+
+
 def test_load_rejects_corrupt_files(tmp_path):
     path = tmp_path / "bad.idx"
 
@@ -162,6 +211,13 @@ def test_load_rejects_corrupt_files(tmp_path):
     path.write_bytes(data + b"\x00")
     with pytest.raises(InputError, match="trailing bytes"):
         load_index(path)
+
+    save_index(_fingerprinted(), good)
+    data = good.read_bytes()
+    for cut in (1, 20, 40):  # inside the document table, the digest, the format
+        path.write_bytes(data[:-cut])
+        with pytest.raises(InputError, match="truncated"):
+            load_index(path)
 
 
 def test_empty_index_roundtrip(tmp_path):
