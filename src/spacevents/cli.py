@@ -9,6 +9,9 @@ internal error.
 Every subcommand is a pure function of its inputs and flags, and record
 output is fully sorted, so two runs over the same files produce
 byte-identical output regardless of ``--workers``.
+
+Each subcommand imports the library modules it uses when it runs, so
+start-up loads only those.
 """
 
 from __future__ import annotations
@@ -18,35 +21,9 @@ import json
 import sys
 from contextlib import redirect_stderr
 from dataclasses import asdict, replace
-from importlib import resources
 from pathlib import Path
 
-from .dedup import DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, assign_splits, pool_duplicates
-from .documents import (
-    parse_conllu,
-    parse_jsonl_documents,
-    serialize_jsonl_documents,
-    validate_corpus,
-)
 from .errors import InputError, SpaceventsError
-from .evaluation import (
-    classify_errors,
-    corpus_stats,
-    read_annotations,
-    score_slots,
-)
-from .gazetteer import compile_gazetteer, ner_layer, read_gazetteer
-from .index import (
-    InvertedIndex,
-    build_index,
-    candidate_sentences,
-    corpus_fingerprint,
-    load_index,
-    save_index,
-)
-from .matching import event_to_dict, extract_events
-from .rules import parse_rules
-from .schemas import ANNOTATION_HEADER, annotation_task_records, shortlist
 
 MAX_SEED = 2**64 - 1
 
@@ -110,6 +87,8 @@ def _corpus_format(path: str, fmt: str | None) -> str:
 
 
 def _parse(text: str, fmt: str):
+    from .documents import parse_conllu, parse_jsonl_documents
+
     return parse_conllu(text) if fmt == "conllu" else parse_jsonl_documents(text)
 
 
@@ -135,15 +114,21 @@ def _read_documents(path: str, fmt: str | None):
 
 
 def _packaged(name: str) -> str:
+    from importlib import resources
+
     return resources.files("spacevents").joinpath("data", name).read_text("utf-8")
 
 
 def _load_gazetteer(path: str | None):
+    from .gazetteer import compile_gazetteer, read_gazetteer
+
     text = _read_text(path) if path else _packaged("gazetteer.tsv")
     return compile_gazetteer(read_gazetteer(text))
 
 
 def _load_rules(path: str | None):
+    from .rules import parse_rules
+
     text = _read_text(path) if path else _packaged("reference.rules")
     return parse_rules(text)
 
@@ -158,6 +143,8 @@ def _emit(out, record: dict) -> None:
 
 
 def _cmd_ingest(args, out, err) -> int:
+    from .documents import serialize_jsonl_documents
+
     docs = _read_documents(args.corpus, args.format)
     out.write(serialize_jsonl_documents(docs))
     print(f"ingested {len(docs)} documents", file=err)
@@ -165,6 +152,8 @@ def _cmd_ingest(args, out, err) -> int:
 
 
 def _cmd_validate(args, out, err) -> int:
+    from .documents import validate_corpus
+
     docs = _parse_documents(args.corpus, args.format)
     report = validate_corpus(docs)
     for issue in report.issues:
@@ -177,9 +166,13 @@ def _cmd_validate(args, out, err) -> int:
 
 
 def _cmd_dedup(args, out, err) -> int:
+    from .dedup import DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, assign_splits, pool_duplicates
+
+    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
+    unseen = DEFAULT_UNSEEN_FRACTION if args.unseen_fraction is None else args.unseen_fraction
     docs = _read_documents(args.corpus, args.format)
-    assignment = pool_duplicates(docs, threshold=args.threshold)
-    assignment = assign_splits(assignment, docs, unseen_fraction=args.unseen_fraction)
+    assignment = pool_duplicates(docs, threshold=threshold)
+    assignment = assign_splits(assignment, docs, unseen_fraction=unseen)
     for doc_id in sorted(assignment.pool_of):
         _emit(
             out,
@@ -194,6 +187,8 @@ def _cmd_dedup(args, out, err) -> int:
 
 
 def _cmd_ner(args, out, err) -> int:
+    from .gazetteer import ner_layer
+
     docs = _read_documents(args.corpus, args.format)
     layer = ner_layer(_load_gazetteer(args.gazetteer))
     for doc in docs:
@@ -219,6 +214,8 @@ def _cmd_ner(args, out, err) -> int:
 
 
 def _cmd_index(args, out, err) -> int:
+    from .index import build_index, corpus_fingerprint, save_index
+
     fmt = _corpus_format(args.corpus, args.format)
     data = _read_bytes(args.corpus)
     docs = _unique(_parse(_decode(data, args.corpus), fmt), args.corpus)
@@ -234,13 +231,15 @@ def _cmd_index(args, out, err) -> int:
     return 0
 
 
-def _candidate_documents(args, index: InvertedIndex, rules):
+def _candidate_documents(args, index, rules):
     """Parse only the corpus documents that hold a candidate sentence of some rule.
 
     The index must fingerprint this very file: then every skipped byte
     was parsed and validated in full when the index was built, duplicate
     document ids included, and the scan's result is unchanged.
     """
+    from .index import candidate_sentences
+
     corpus = index.corpus
     if corpus is None:
         raise InputError(
@@ -266,6 +265,10 @@ def _candidate_documents(args, index: InvertedIndex, rules):
 
 
 def _extract(args):
+    from .gazetteer import ner_layer
+    from .index import load_index
+    from .matching import extract_events
+
     rules = _load_rules(args.rules)
     index = None
     if getattr(args, "index", None):
@@ -279,6 +282,8 @@ def _extract(args):
 
 
 def _cmd_extract(args, out, err) -> int:
+    from .matching import event_to_dict
+
     _, events = _extract(args)
     for event in events:
         _emit(out, event_to_dict(event))
@@ -287,6 +292,9 @@ def _cmd_extract(args, out, err) -> int:
 
 
 def _cmd_shortlist(args, out, err) -> int:
+    from .matching import event_to_dict
+    from .schemas import shortlist
+
     _, events = _extract(args)
     candidates = shortlist(events, sample=dict(args.sample), seed=args.seed)
     for cand in candidates:
@@ -306,6 +314,8 @@ def _cmd_shortlist(args, out, err) -> int:
 
 
 def _cmd_export_annotation(args, out, err) -> int:
+    from .schemas import ANNOTATION_HEADER, annotation_task_records, shortlist
+
     docs, events = _extract(args)
     candidates = shortlist(events, sample=dict(args.sample), seed=args.seed)
     _emit(out, ANNOTATION_HEADER)
@@ -324,6 +334,8 @@ def _write_json(args, payload: dict) -> None:
 
 
 def _cmd_score(args, out, err) -> int:
+    from .evaluation import read_annotations, score_slots
+
     gold = read_annotations(_read_text(args.gold))
     pred = read_annotations(_read_text(args.pred))
     report = score_slots(gold, pred)
@@ -333,6 +345,8 @@ def _cmd_score(args, out, err) -> int:
 
 
 def _cmd_stats(args, out, err) -> int:
+    from .evaluation import corpus_stats, read_annotations
+
     rows = corpus_stats(read_annotations(_read_text(args.annotations)))
     header = f"{'Event':<18} {'Split':<12} {'Sentences':>10} {'Tagged':>10} {'Tokens':>10}"
     out.write(header + "\n")
@@ -347,6 +361,8 @@ def _cmd_stats(args, out, err) -> int:
 
 
 def _cmd_errors(args, out, err) -> int:
+    from .evaluation import classify_errors, read_annotations
+
     gold = read_annotations(_read_text(args.gold))
     pred = read_annotations(_read_text(args.pred))
     buckets = classify_errors(gold, pred)
@@ -413,8 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("dedup", help="pool near-duplicates and assign splits")
     _add_corpus(sub)
-    sub.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
-    sub.add_argument("--unseen-fraction", type=_fraction, default=DEFAULT_UNSEEN_FRACTION)
+    # None stands for the library's defaults, read when the command runs
+    sub.add_argument("--threshold", type=_fraction)
+    sub.add_argument("--unseen-fraction", type=_fraction)
     sub.set_defaults(func=_cmd_dedup)
 
     sub = commands.add_parser("ner", help="tag sentences with the merged NER layer")

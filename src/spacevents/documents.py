@@ -17,16 +17,28 @@ Every loaded sentence is checked for structural sanity: exactly one edge
 per token, exactly one root, no cycles.  Edges are kept in a canonical
 order (by dependent) so that equal sentences compare equal regardless of
 the order edges appeared in the input.
+
+The parsers take an accept path that builds no message.  Each sentence's
+head links pass ``_is_tree``, a single-pass test; only a sentence that
+fails it goes to ``sentence_issues``, which owns every structure message.
+A JSONL record's sentences are read by ``_fast_sentences``, which checks
+each value's exact JSON type; at the first value it refuses, the record
+is read again by ``_checked_sentences``, which owns the schema messages,
+so every error reads as it would without the accept path.  Within one
+parse call, equal tokens and equal edges share one (frozen) object, and
+the cyclic garbage collector is paused, since parsing creates no cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cached_property, wraps
+from operator import attrgetter, lt
+from typing import Iterable
 
 from .errors import ParseError, SchemaError, StructureError
 
@@ -52,6 +64,9 @@ class DepEdge:
     label: str
 
 
+_BY_DEPENDENT = attrgetter("dependent")
+
+
 @dataclass(frozen=True)
 class Sentence:
     id: str
@@ -61,7 +76,7 @@ class Sentence:
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: e.dependent))
+            self, "edges", tuple(sorted(self.edges, key=_BY_DEPENDENT))
         )
 
     def __len__(self) -> int:
@@ -166,6 +181,36 @@ def sentence_issues(sentence: Sentence) -> list[str]:
     return issues
 
 
+def _is_tree(heads: list[int]) -> bool:
+    """The parsers' accept test: whether per-token head links form one tree.
+
+    ``heads[i]`` is token ``i``'s head, ``ROOT`` or a token index; any
+    other value fails.  True exactly when ``sentence_issues`` would find no
+    problem with the links, so a parser calls that only on False, to
+    explain the failure.
+    """
+    n = len(heads)
+    if not n or heads.count(ROOT) != 1 or min(heads) < ROOT:
+        return False
+    if all(map(lt, heads, range(n))):
+        return True  # every head precedes its dependent, so no chain can loop
+    if max(heads) >= n:
+        return False
+    reaches_root = bytearray(n)
+    for start in range(n):
+        node, steps = start, 0
+        while node != ROOT and not reaches_root[node]:
+            node = heads[node]
+            steps += 1
+            if steps > n:
+                return False  # the chain revisits a token: a cycle
+        node = start
+        while node != ROOT and not reaches_root[node]:
+            reaches_root[node] = 1
+            node = heads[node]
+    return True
+
+
 @dataclass(frozen=True)
 class Issue:
     doc_id: str | None
@@ -218,7 +263,7 @@ def validate_corpus(docs: Iterable[Document]) -> ValidationReport:
     return ValidationReport(issues=tuple(issues))
 
 
-def _lines(source) -> Iterator[str]:
+def _lines(source) -> Iterable[str]:
     """The lines of a string or line iterable, for both formats.
 
     A line ends at ``\n`` only, and one ``\r`` before it is dropped, so
@@ -229,9 +274,21 @@ def _lines(source) -> Iterator[str]:
         lines = source.split("\n")
         if not lines[-1]:
             lines.pop()  # the text ends with a newline, or is empty
+        if "\r" not in source:
+            return lines
     else:
         lines = (raw[:-1] if raw.endswith("\n") else raw for raw in source)
     return (line[:-1] if line.endswith("\r") else line for line in lines)
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of a gazetteer or annotation text.
+
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, and nowhere else:
+    unlike ``str.splitlines``, characters such as U+2028 or U+0085 stay
+    inside a line, where JSON strings and names may hold them.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 _NEWDOC_KEY = re.compile(rb"^#([^=\n]*)=", re.MULTILINE)
@@ -282,10 +339,38 @@ def _parse_date(value: str, line: int) -> date:
         raise ParseError(f"collected_at is not an ISO date: {value!r}", line=line)
 
 
+def _collector_paused(parse):
+    """Run ``parse`` with the cyclic garbage collector off, then restore its state.
+
+    Parsing builds no reference cycles, so a collection pass during a
+    parse only walks the growing corpus and frees nothing.
+    """
+
+    @wraps(parse)
+    def paused(source):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return parse(source)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # CoNLL-U
 
+# A line that starts with a digit is neither blank nor a comment, so it
+# skips those two checks.
+_TOKEN_LINE_START = frozenset("0123456789")
+# The plain spelling of each small number, so a well-formed token line's id
+# and head convert with one lookup; any other text takes the checked path.
+_DECIMAL = {str(i): i for i in range(1024)}
 
+
+@_collector_paused
 def parse_conllu(source) -> list[Document]:
     """Parse CoNLL-U text (a string or a line iterable) into documents.
 
@@ -300,10 +385,14 @@ def parse_conllu(source) -> list[Document]:
     sent_line = 0
     tokens: list[Token] = []
     edges: list[DepEdge] = []
+    heads: list[int] = []
+    # equal tokens and edges share one object each
+    token_of: dict[tuple, Token] = {}
+    edge_of: dict[tuple[int, int, str], DepEdge] = {}
     last_line = 0
 
     def close_sentence() -> None:
-        nonlocal sent_id, tokens, edges
+        nonlocal sent_id, tokens, edges, heads
         if sent_id is None and not tokens:
             return
         if doc_meta is None:
@@ -319,15 +408,17 @@ def parse_conllu(source) -> list[Document]:
                 f"duplicate sentence id {sent_id!r} in document {doc_meta['id']!r}",
                 line=sent_line,
             )
-        sent = Sentence(id=sent_id, tokens=tuple(tokens), edges=tuple(edges))
-        problems = sentence_issues(sent)
-        if problems:
-            raise StructureError(f"sentence {sent_id!r}: " + "; ".join(problems))
+        sent = Sentence(sent_id, tokens, edges)
+        if not _is_tree(heads):
+            problems = sentence_issues(sent)
+            if problems:
+                raise StructureError(f"sentence {sent_id!r}: " + "; ".join(problems))
         sent_ids.add(sent_id)
         sentences.append(sent)
         sent_id = None
         tokens = []
         edges = []
+        heads = []
 
     def close_doc() -> None:
         nonlocal doc_meta, sentences, sent_ids
@@ -335,11 +426,11 @@ def parse_conllu(source) -> list[Document]:
             return
         docs.append(
             Document(
-                id=doc_meta["id"],
-                sentences=tuple(sentences),
-                source=doc_meta["source"],
-                collected_at=doc_meta["collected_at"],
-                split=doc_meta["split"],
+                doc_meta["id"],
+                sentences,
+                doc_meta["source"],
+                doc_meta["collected_at"],
+                doc_meta["split"],
             )
         )
         doc_meta = None
@@ -348,102 +439,108 @@ def parse_conllu(source) -> list[Document]:
 
     for line_no, line in enumerate(_lines(source), start=1):
         last_line = line_no
-        if not line.strip():
-            close_sentence()
-            continue
-        if line.startswith("#"):
-            if tokens:
-                raise ParseError("comment lines must precede token lines", line=line_no)
-            if "\r" in line:
-                # a file with lone \r line endings reads as one comment line
-                raise ParseError(
-                    "carriage return inside a comment line (lines end in \\n or \\r\\n)",
-                    line=line_no,
-                )
-            key, sep, value = line[1:].partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep:
-                continue  # free-form comment
-            if key == "newdoc id":
+        if line[:1] not in _TOKEN_LINE_START:
+            if not line.strip():
                 close_sentence()
-                close_doc()
-                doc_meta = {
-                    "id": value,
-                    "source": None,
-                    "collected_at": None,
-                    "split": "unassigned",
-                }
-            elif key == "sent_id":
-                sent_id = value
-                sent_line = line_no
-            elif key in ("split", "source", "collected_at"):
-                if doc_meta is None:
-                    raise ParseError(f"'# {key}' comment outside a document", line=line_no)
-                if key == "split":
-                    if value not in SPLITS:
-                        raise ParseError(f"unknown split {value!r}", line=line_no)
-                    doc_meta["split"] = value
-                elif key == "source":
-                    doc_meta["source"] = value
-                else:
-                    doc_meta["collected_at"] = _parse_date(value, line_no)
-            continue
+                continue
+            if line.startswith("#"):
+                if tokens:
+                    raise ParseError("comment lines must precede token lines", line=line_no)
+                if "\r" in line:
+                    # a file with lone \r line endings reads as one comment line
+                    raise ParseError(
+                        "carriage return inside a comment line (lines end in \\n or \\r\\n)",
+                        line=line_no,
+                    )
+                key, sep, value = line[1:].partition("=")
+                key = key.strip()
+                value = value.strip()
+                if not sep:
+                    continue  # free-form comment
+                if key == "newdoc id":
+                    close_sentence()
+                    close_doc()
+                    doc_meta = {
+                        "id": value,
+                        "source": None,
+                        "collected_at": None,
+                        "split": "unassigned",
+                    }
+                elif key == "sent_id":
+                    sent_id = value
+                    sent_line = line_no
+                elif key in ("split", "source", "collected_at"):
+                    if doc_meta is None:
+                        raise ParseError(f"'# {key}' comment outside a document", line=line_no)
+                    if key == "split":
+                        if value not in SPLITS:
+                            raise ParseError(f"unknown split {value!r}", line=line_no)
+                        doc_meta["split"] = value
+                    elif key == "source":
+                        doc_meta["source"] = value
+                    else:
+                        doc_meta["collected_at"] = _parse_date(value, line_no)
+                continue
+        # a token line: any line that is neither blank nor a comment
         cols = line.split("\t")
         if len(cols) != 10:
             raise ParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line=line_no
             )
         tid, form, lemma, upos, xpos, _feats, head, deprel, _deps, misc = cols
-        if "-" in tid:
-            raise ParseError("multiword token ranges are not supported", line=line_no)
-        if "." in tid:
-            raise ParseError("empty nodes are not supported", line=line_no)
-        try:
-            index1 = int(tid)
-        except ValueError:
-            raise ParseError(f"malformed token id {tid!r}", line=line_no)
-        if not tokens:
+        index = len(tokens)
+        if _DECIMAL.get(tid) != index + 1:
+            if "-" in tid:
+                raise ParseError("multiword token ranges are not supported", line=line_no)
+            if "." in tid:
+                raise ParseError("empty nodes are not supported", line=line_no)
+            try:
+                index1 = int(tid)
+            except ValueError:
+                raise ParseError(f"malformed token id {tid!r}", line=line_no)
+            if index1 != index + 1:
+                raise ParseError(
+                    f"token id {index1} out of sequence (expected {index + 1})", line=line_no
+                )
+        if not index:
             sent_line = sent_line or line_no
-        expected = len(tokens) + 1
-        if index1 != expected:
-            raise ParseError(
-                f"token id {index1} out of sequence (expected {expected})", line=line_no
-            )
         if not form:
             raise ParseError("empty FORM column", line=line_no)
-        try:
-            head1 = int(head)
-        except ValueError:
-            raise ParseError(f"malformed head {head!r}", line=line_no)
-        if head1 < 0:
-            raise ParseError(f"negative head {head1}", line=line_no)
-        ner = chunk = None
-        if misc and misc != "_":
-            for part in misc.split("|"):
-                k, _, v = part.partition("=")
-                if k == "Ner":
-                    ner = v
-                elif k == "Chunk":
-                    chunk = v
-        pos = upos if upos != "_" else xpos
-        tokens.append(
-            Token(
-                index=index1 - 1,
-                surface=form,
-                lemma=lemma if lemma != "_" else form,
-                pos=pos,
-                generic_ner=ner,
-                chunk=chunk,
+        head1 = _DECIMAL.get(head)
+        if head1 is None:
+            try:
+                head1 = int(head)
+            except ValueError:
+                raise ParseError(f"malformed head {head!r}", line=line_no)
+            if head1 < 0:
+                raise ParseError(f"negative head {head1}", line=line_no)
+        key = (index, form, lemma, upos, xpos, misc)
+        token = token_of.get(key)
+        if token is None:
+            ner = chunk = None
+            if misc and misc != "_":
+                for part in misc.split("|"):
+                    k, _, v = part.partition("=")
+                    if k == "Ner":
+                        ner = v
+                    elif k == "Chunk":
+                        chunk = v
+            token = token_of[key] = Token(
+                index,
+                form,
+                lemma if lemma != "_" else form,
+                upos if upos != "_" else xpos,
+                ner,
+                chunk,
             )
-        )
-        edges.append(
-            DepEdge(
-                head=head1 - 1 if head1 > 0 else ROOT,
-                dependent=index1 - 1,
-                label=deprel,
-            )
-        )
+        tokens.append(token)
+        head0 = head1 - 1  # CoNLL-U head 0 is the root, and ROOT == -1
+        heads.append(head0)
+        key = (head0, index, deprel)
+        edge = edge_of.get(key)
+        if edge is None:
+            edge = edge_of[key] = DepEdge(head0, index, deprel)
+        edges.append(edge)
 
     sent_line = sent_line or last_line
     close_sentence()
@@ -513,17 +610,87 @@ def _optional_str(obj: dict, key: str, line: int, path: str) -> str | None:
     return value
 
 
-def _doc_from_dict(obj, line: int) -> Document:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"line {line}: document record must be an object")
-    doc_id = _require(obj, "id", str, line, "")
-    source = _optional_str(obj, "source", line, "")
-    collected_raw = _optional_str(obj, "collected_at", line, "")
-    collected = _parse_date(collected_raw, line) if collected_raw is not None else None
-    split = _optional_str(obj, "split", line, "") or "unassigned"
-    if split not in SPLITS:
-        raise SchemaError(f"line {line}: unknown split {split!r}")
-    raw_sentences = _require(obj, "sentences", list, line, "")
+_ABSENT = object()
+
+
+def _fast_sentences(raw_sentences: list, token_of: dict, edge_of: dict) -> list | None:
+    """A record's sentences, or None at the first value ``_checked_sentences`` refuses.
+
+    Types are checked exactly, with ``type(x) is``, which is what JSON
+    values allow, and no message is built: a caller that gets None runs
+    ``_checked_sentences``, which owns every message.
+    """
+    sentences: list[Sentence] = []
+    seen: set[str] = set()
+    for raw_sent in raw_sentences:
+        if type(raw_sent) is not dict:
+            return None
+        sent_id = raw_sent.get("id")
+        raw_tokens = raw_sent.get("tokens")
+        raw_edges = raw_sent.get("edges")
+        if (
+            type(sent_id) is not str
+            or sent_id in seen
+            or type(raw_tokens) is not list
+            or type(raw_edges) is not list
+            or len(raw_edges) != len(raw_tokens)
+        ):
+            return None
+        tokens: list[Token] = []
+        for index, raw_tok in enumerate(raw_tokens):
+            if type(raw_tok) is not dict:
+                return None
+            surface = raw_tok.get("surface")
+            lemma = raw_tok.get("lemma")
+            pos = raw_tok.get("pos")
+            ner = raw_tok.get("ner", _ABSENT)
+            chunk = raw_tok.get("chunk", _ABSENT)
+            if type(surface) is not str or type(lemma) is not str or type(pos) is not str:
+                return None
+            if not surface:
+                return None  # refused by sentence_issues
+            if ner is _ABSENT:
+                ner = None
+            elif type(ner) is not str:
+                return None
+            if chunk is _ABSENT:
+                chunk = None
+            elif type(chunk) is not str:
+                return None
+            key = (index, surface, lemma, pos, ner, chunk)
+            token = token_of.get(key)
+            if token is None:
+                token = token_of[key] = Token(index, surface, lemma, pos, ner, chunk)
+            tokens.append(token)
+        n = len(tokens)
+        heads: list = [None] * n
+        edges: list[DepEdge] = []
+        for raw_edge in raw_edges:
+            if type(raw_edge) is not dict:
+                return None
+            head = raw_edge.get("head")
+            dep = raw_edge.get("dep")
+            label = raw_edge.get("label")
+            if type(head) is not int or type(dep) is not int or type(label) is not str:
+                return None
+            if not 0 <= dep < n or heads[dep] is not None:
+                return None
+            heads[dep] = head
+            key = (head, dep, label)
+            edge = edge_of.get(key)
+            if edge is None:
+                edge = edge_of[key] = DepEdge(head, dep, label)
+            edges.append(edge)
+        # n edges on n distinct dependents: every token has exactly one head
+        if not _is_tree(heads):
+            return None
+        seen.add(sent_id)
+        sentences.append(Sentence(sent_id, tokens, edges))
+    return sentences
+
+
+def _checked_sentences(raw_sentences: list, line: int, doc_id: str) -> list[Sentence]:
+    """A record's sentences, raising the message for the first value it refuses."""
     sentences: list[Sentence] = []
     seen: set[str] = set()
     for i, raw_sent in enumerate(raw_sentences):
@@ -572,18 +739,33 @@ def _doc_from_dict(obj, line: int) -> Document:
             )
         seen.add(sent_id)
         sentences.append(sent)
-    return Document(
-        id=doc_id,
-        sentences=tuple(sentences),
-        source=source,
-        collected_at=collected,
-        split=split,
-    )
+    return sentences
 
 
+def _doc_from_dict(obj, line: int, token_of: dict, edge_of: dict) -> Document:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"line {line}: document record must be an object")
+    doc_id = _require(obj, "id", str, line, "")
+    source = _optional_str(obj, "source", line, "")
+    collected_raw = _optional_str(obj, "collected_at", line, "")
+    collected = _parse_date(collected_raw, line) if collected_raw is not None else None
+    split = _optional_str(obj, "split", line, "") or "unassigned"
+    if split not in SPLITS:
+        raise SchemaError(f"line {line}: unknown split {split!r}")
+    raw_sentences = _require(obj, "sentences", list, line, "")
+    sentences = _fast_sentences(raw_sentences, token_of, edge_of)
+    if sentences is None:
+        sentences = _checked_sentences(raw_sentences, line, doc_id)
+    return Document(doc_id, sentences, source, collected, split)
+
+
+@_collector_paused
 def parse_jsonl_documents(source) -> list[Document]:
     """Parse JSON-lines text (a string or a line iterable) into documents."""
     docs: list[Document] = []
+    # equal tokens and edges share one object each
+    token_of: dict[tuple, Token] = {}
+    edge_of: dict[tuple[int, int, str], DepEdge] = {}
     for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
@@ -592,7 +774,7 @@ def parse_jsonl_documents(source) -> list[Document]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
-        docs.append(_doc_from_dict(obj, line_no))
+        docs.append(_doc_from_dict(obj, line_no, token_of, edge_of))
     return docs
 
 

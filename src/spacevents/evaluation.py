@@ -21,7 +21,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .documents import SPLITS
+from .documents import SPLITS, text_lines
 from .errors import InputError, SchemaError
 from .schemas import GENERIC_SLOTS, SCHEMAS
 
@@ -194,10 +194,7 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     or a ``tokens`` list (needed for corpus statistics).
     Spans within one record must not overlap, nor end past that token count.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = list(source)
+    lines = text_lines(source) if isinstance(source, str) else list(source)
     records: list[SentenceAnnotation] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -465,28 +462,42 @@ _SPLIT_ORDER = {name: i for i, name in enumerate(SPLITS)}
 
 
 def corpus_stats(annotations: Sequence[SentenceAnnotation]) -> list[StatsRow]:
-    """Sentences, tagged tokens, and total tokens per (event type, split)."""
-    sentences: dict[tuple[str, str], set[tuple[str, str]]] = defaultdict(set)
-    tagged: Counter[tuple[str, str]] = Counter()
-    total: Counter[tuple[str, str]] = Counter()
+    """Sentences, tagged tokens, and total tokens per (event type, split).
+
+    Records for the same sentence and event type count once, with the
+    union of their spans, as in scoring; they must agree on the split and
+    the token count.
+    """
+    merged: dict[tuple[str, tuple[str, str]], tuple[str, int]] = {}
     for record in annotations:
         if record.n_tokens is None:
             raise InputError(
                 f"record for sentence {_spell(record.key)!r} has no token count"
             )
-        key = (record.event_type, record.split or "unassigned")
-        sentences[key].add(record.key)
-        tagged[key] += sum(s.end - s.start for s in record.spans)
-        total[key] += record.n_tokens
+        facts = (record.split or "unassigned", record.n_tokens)
+        if merged.setdefault((record.event_type, record.key), facts) != facts:
+            raise InputError(
+                f"records for sentence {_spell(record.key)!r} and event type "
+                f"{record.event_type} disagree on the split or the token count"
+            )
+    spans = _span_sets(annotations)
+    sentences: Counter[tuple[str, str]] = Counter()
+    tagged: Counter[tuple[str, str]] = Counter()
+    total: Counter[tuple[str, str]] = Counter()
+    for (event_type, sentence), (split, n_tokens) in merged.items():
+        key = (event_type, split)
+        sentences[key] += 1
+        tagged[key] += sum(end - start for start, end, _ in spans[event_type][sentence])
+        total[key] += n_tokens
     rows = [
         StatsRow(
             event_type=event_type,
             split=split,
-            sentences=len(ids),
+            sentences=count,
             tagged_tokens=tagged[(event_type, split)],
             total_tokens=total[(event_type, split)],
         )
-        for (event_type, split), ids in sentences.items()
+        for (event_type, split), count in sentences.items()
     ]
     rows.sort(key=lambda r: (r.event_type, _SPLIT_ORDER.get(r.split, 99), r.split))
     return rows

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .documents import Sentence
+from .documents import Sentence, text_lines
 from .errors import InputError, ParseError
 
 ENTITY_TYPES = ("SPACECRAFT", "LAUNCH_VEHICLE", "LAUNCH_SITE", "ORGANIZATION")
@@ -119,10 +119,7 @@ def compile_gazetteer(entries: Iterable[GazetteerEntry]) -> GazetteerMatcher:
 
 def read_gazetteer(source) -> list[GazetteerEntry]:
     """Read the TSV gazetteer format: type, canonical, pipe-joined alternates."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = list(source)
+    lines = text_lines(source) if isinstance(source, str) else list(source)
     entries: list[GazetteerEntry] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")

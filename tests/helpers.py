@@ -7,20 +7,26 @@ keeps every generated parse a well-formed tree by construction.
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import date, timedelta
 from itertools import count
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from spacevents import (
+    ROOT,
+    SPLITS,
     Atom,
     DepEdge,
     DepPathStep,
     Document,
+    ParseError,
     Rule,
+    SchemaError,
     Sentence,
     SlotPattern,
+    StructureError,
     Token,
     TokenPattern,
     parse_conllu,
@@ -333,4 +339,364 @@ def timing_corpus(n_sentences: int, trigger_every: int = 200,
             sentences = []
     if sentences:
         docs.append(Document(id=f"doc{next(doc_ids):05d}", sentences=tuple(sentences)))
+    return docs
+
+
+# ---------------------------------------------------------------------------
+# the reference parsers: the CoNLL-U and JSONL readers as they were before
+# the accept-path rewrite, kept verbatim so every parse result and every
+# error message of ``spacevents.documents`` can be compared with them
+
+
+def reference_sentence_issues(sentence: Sentence) -> list[str]:
+    """All structural problems of one sentence, as human-readable strings.
+
+    An empty list means the sentence is a well-formed dependency tree:
+    every token has exactly one incoming edge, exactly one edge points at
+    the artificial root, and following head links never loops.
+    """
+    issues: list[str] = []
+    n = len(sentence.tokens)
+    if n == 0:
+        return ["sentence has no tokens"]
+    for i, tok in enumerate(sentence.tokens):
+        if not tok.surface:
+            issues.append(f"token {i} has an empty surface form")
+        if tok.index != i:
+            issues.append(f"token at position {i} carries index {tok.index}")
+    heads: dict[int, int] = {}
+    root_count = 0
+    for edge in sentence.edges:
+        if not 0 <= edge.dependent < n:
+            issues.append(f"edge dependent {edge.dependent} out of range")
+            continue
+        if edge.head != ROOT and not 0 <= edge.head < n:
+            issues.append(f"head {edge.head} of token {edge.dependent} out of range")
+            continue
+        if edge.dependent in heads:
+            issues.append(f"token {edge.dependent} has more than one head")
+            continue
+        heads[edge.dependent] = edge.head
+        if edge.head == ROOT:
+            root_count += 1
+    for i in range(n):
+        if i not in heads:
+            issues.append(f"token {i} has no incoming edge (orphan)")
+    if root_count != 1:
+        issues.append(f"expected exactly one root edge, found {root_count}")
+    if issues:
+        return issues
+    # With one head per token the head links form a functional graph; walk
+    # each chain once to rule out cycles.
+    state = [0] * n  # 0 unvisited, 1 on current chain, 2 known good
+    for start in range(n):
+        if state[start]:
+            continue
+        chain = []
+        node = start
+        while True:
+            if state[node] == 1:
+                issues.append(f"dependency cycle through token {node}")
+                break
+            if state[node] == 2:
+                break
+            state[node] = 1
+            chain.append(node)
+            head = heads[node]
+            if head == ROOT:
+                break
+            node = head
+        for visited in chain:
+            state[visited] = 2
+        if issues:
+            break
+    return issues
+
+
+def _lines(source) -> Iterator[str]:
+    """The lines of a string or line iterable, for both formats.
+
+    A line ends at ``\n`` only, and one ``\r`` before it is dropped, so
+    characters such as U+2028 or U+0085 stay inside a token.  The line
+    boundaries are the ones ``document_spans`` finds in the file's bytes.
+    """
+    if isinstance(source, str):
+        lines = source.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline, or is empty
+    else:
+        lines = (raw[:-1] if raw.endswith("\n") else raw for raw in source)
+    return (line[:-1] if line.endswith("\r") else line for line in lines)
+
+
+def _parse_date(value: str, line: int) -> date:
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        raise ParseError(f"collected_at is not an ISO date: {value!r}", line=line)
+
+
+def reference_parse_conllu(source) -> list[Document]:
+    """Parse CoNLL-U text (a string or a line iterable) into documents.
+
+    Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
+    rejected; the corpus contract is one syntactic token per line.
+    """
+    docs: list[Document] = []
+    doc_meta: dict | None = None
+    sentences: list[Sentence] = []
+    sent_ids: set[str] = set()
+    sent_id: str | None = None
+    sent_line = 0
+    tokens: list[Token] = []
+    edges: list[DepEdge] = []
+    last_line = 0
+
+    def close_sentence() -> None:
+        nonlocal sent_id, tokens, edges
+        if sent_id is None and not tokens:
+            return
+        if doc_meta is None:
+            raise ParseError(
+                "sentence outside any '# newdoc id' block", line=sent_line
+            )
+        if sent_id is None:
+            raise ParseError("sentence is missing a '# sent_id' comment", line=sent_line)
+        if not tokens:
+            raise ParseError(f"sentence {sent_id!r} has no tokens", line=sent_line)
+        if sent_id in sent_ids:
+            raise ParseError(
+                f"duplicate sentence id {sent_id!r} in document {doc_meta['id']!r}",
+                line=sent_line,
+            )
+        sent = Sentence(id=sent_id, tokens=tuple(tokens), edges=tuple(edges))
+        problems = reference_sentence_issues(sent)
+        if problems:
+            raise StructureError(f"sentence {sent_id!r}: " + "; ".join(problems))
+        sent_ids.add(sent_id)
+        sentences.append(sent)
+        sent_id = None
+        tokens = []
+        edges = []
+
+    def close_doc() -> None:
+        nonlocal doc_meta, sentences, sent_ids
+        if doc_meta is None:
+            return
+        docs.append(
+            Document(
+                id=doc_meta["id"],
+                sentences=tuple(sentences),
+                source=doc_meta["source"],
+                collected_at=doc_meta["collected_at"],
+                split=doc_meta["split"],
+            )
+        )
+        doc_meta = None
+        sentences = []
+        sent_ids = set()
+
+    for line_no, line in enumerate(_lines(source), start=1):
+        last_line = line_no
+        if not line.strip():
+            close_sentence()
+            continue
+        if line.startswith("#"):
+            if tokens:
+                raise ParseError("comment lines must precede token lines", line=line_no)
+            if "\r" in line:
+                # a file with lone \r line endings reads as one comment line
+                raise ParseError(
+                    "carriage return inside a comment line (lines end in \\n or \\r\\n)",
+                    line=line_no,
+                )
+            key, sep, value = line[1:].partition("=")
+            key = key.strip()
+            value = value.strip()
+            if not sep:
+                continue  # free-form comment
+            if key == "newdoc id":
+                close_sentence()
+                close_doc()
+                doc_meta = {
+                    "id": value,
+                    "source": None,
+                    "collected_at": None,
+                    "split": "unassigned",
+                }
+            elif key == "sent_id":
+                sent_id = value
+                sent_line = line_no
+            elif key in ("split", "source", "collected_at"):
+                if doc_meta is None:
+                    raise ParseError(f"'# {key}' comment outside a document", line=line_no)
+                if key == "split":
+                    if value not in SPLITS:
+                        raise ParseError(f"unknown split {value!r}", line=line_no)
+                    doc_meta["split"] = value
+                elif key == "source":
+                    doc_meta["source"] = value
+                else:
+                    doc_meta["collected_at"] = _parse_date(value, line_no)
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ParseError(
+                f"expected 10 tab-separated columns, got {len(cols)}", line=line_no
+            )
+        tid, form, lemma, upos, xpos, _feats, head, deprel, _deps, misc = cols
+        if "-" in tid:
+            raise ParseError("multiword token ranges are not supported", line=line_no)
+        if "." in tid:
+            raise ParseError("empty nodes are not supported", line=line_no)
+        try:
+            index1 = int(tid)
+        except ValueError:
+            raise ParseError(f"malformed token id {tid!r}", line=line_no)
+        if not tokens:
+            sent_line = sent_line or line_no
+        expected = len(tokens) + 1
+        if index1 != expected:
+            raise ParseError(
+                f"token id {index1} out of sequence (expected {expected})", line=line_no
+            )
+        if not form:
+            raise ParseError("empty FORM column", line=line_no)
+        try:
+            head1 = int(head)
+        except ValueError:
+            raise ParseError(f"malformed head {head!r}", line=line_no)
+        if head1 < 0:
+            raise ParseError(f"negative head {head1}", line=line_no)
+        ner = chunk = None
+        if misc and misc != "_":
+            for part in misc.split("|"):
+                k, _, v = part.partition("=")
+                if k == "Ner":
+                    ner = v
+                elif k == "Chunk":
+                    chunk = v
+        pos = upos if upos != "_" else xpos
+        tokens.append(
+            Token(
+                index=index1 - 1,
+                surface=form,
+                lemma=lemma if lemma != "_" else form,
+                pos=pos,
+                generic_ner=ner,
+                chunk=chunk,
+            )
+        )
+        edges.append(
+            DepEdge(
+                head=head1 - 1 if head1 > 0 else ROOT,
+                dependent=index1 - 1,
+                label=deprel,
+            )
+        )
+
+    sent_line = sent_line or last_line
+    close_sentence()
+    close_doc()
+    return docs
+
+
+def _require(obj: dict, key: str, kinds, line: int, path: str):
+    if key not in obj:
+        raise SchemaError(f"line {line}: missing required field {path}{key}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise SchemaError(f"line {line}: field {path}{key} has the wrong type")
+    return value
+
+
+def _optional_str(obj: dict, key: str, line: int, path: str) -> str | None:
+    if key not in obj:
+        return None
+    value = obj[key]
+    if not isinstance(value, str):
+        raise SchemaError(f"line {line}: field {path}{key} must be a string")
+    return value
+
+
+def _doc_from_dict(obj, line: int) -> Document:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"line {line}: document record must be an object")
+    doc_id = _require(obj, "id", str, line, "")
+    source = _optional_str(obj, "source", line, "")
+    collected_raw = _optional_str(obj, "collected_at", line, "")
+    collected = _parse_date(collected_raw, line) if collected_raw is not None else None
+    split = _optional_str(obj, "split", line, "") or "unassigned"
+    if split not in SPLITS:
+        raise SchemaError(f"line {line}: unknown split {split!r}")
+    raw_sentences = _require(obj, "sentences", list, line, "")
+    sentences: list[Sentence] = []
+    seen: set[str] = set()
+    for i, raw_sent in enumerate(raw_sentences):
+        path = f"sentences[{i}]."
+        if not isinstance(raw_sent, dict):
+            raise SchemaError(f"line {line}: sentences[{i}] must be an object")
+        sent_id = _require(raw_sent, "id", str, line, path)
+        raw_tokens = _require(raw_sent, "tokens", list, line, path)
+        raw_edges = _require(raw_sent, "edges", list, line, path)
+        tokens: list[Token] = []
+        for j, raw_tok in enumerate(raw_tokens):
+            tpath = f"{path}tokens[{j}]."
+            if not isinstance(raw_tok, dict):
+                raise SchemaError(f"line {line}: {path}tokens[{j}] must be an object")
+            tokens.append(
+                Token(
+                    index=j,
+                    surface=_require(raw_tok, "surface", str, line, tpath),
+                    lemma=_require(raw_tok, "lemma", str, line, tpath),
+                    pos=_require(raw_tok, "pos", str, line, tpath),
+                    generic_ner=_optional_str(raw_tok, "ner", line, tpath),
+                    chunk=_optional_str(raw_tok, "chunk", line, tpath),
+                )
+            )
+        edges: list[DepEdge] = []
+        for j, raw_edge in enumerate(raw_edges):
+            epath = f"{path}edges[{j}]."
+            if not isinstance(raw_edge, dict):
+                raise SchemaError(f"line {line}: {path}edges[{j}] must be an object")
+            edges.append(
+                DepEdge(
+                    head=_require(raw_edge, "head", int, line, epath),
+                    dependent=_require(raw_edge, "dep", int, line, epath),
+                    label=_require(raw_edge, "label", str, line, epath),
+                )
+            )
+        sent = Sentence(id=sent_id, tokens=tuple(tokens), edges=tuple(edges))
+        problems = reference_sentence_issues(sent)
+        if problems:
+            raise StructureError(
+                f"line {line}: sentence {sent_id!r}: " + "; ".join(problems)
+            )
+        if sent_id in seen:
+            raise SchemaError(
+                f"line {line}: duplicate sentence id {sent_id!r} in document {doc_id!r}"
+            )
+        seen.add(sent_id)
+        sentences.append(sent)
+    return Document(
+        id=doc_id,
+        sentences=tuple(sentences),
+        source=source,
+        collected_at=collected,
+        split=split,
+    )
+
+
+def reference_parse_jsonl_documents(source) -> list[Document]:
+    """Parse JSON-lines text (a string or a line iterable) into documents."""
+    docs: list[Document] = []
+    for line_no, raw in enumerate(_lines(source), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
+        docs.append(_doc_from_dict(obj, line_no))
     return docs

@@ -119,7 +119,7 @@ QUIET_DOC = (
 
 
 def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monkeypatch):
-    import spacevents.cli as cli
+    import spacevents.documents as documents
 
     corpus = tmp_path / "three.conllu"
     corpus.write_text(Path(CORPUS).read_text(encoding="utf-8") + QUIET_DOC, encoding="utf-8")
@@ -128,14 +128,14 @@ def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monk
 
     # only the candidate documents are parsed, and the output is unchanged
     parsed = []
-    original = cli.parse_conllu
+    original = documents.parse_conllu
 
     def recording(text):
         docs = original(text)
         parsed.extend(doc.id for doc in docs)
         return docs
 
-    monkeypatch.setattr(cli, "parse_conllu", recording)
+    monkeypatch.setattr(documents, "parse_conllu", recording)
     code, indexed, _ = run("extract", "--corpus", str(corpus), "--index", str(index_path))
     assert code == 0
     assert parsed == ["d1", "d2"]
@@ -452,6 +452,23 @@ def test_stats_table(score_files, tmp_path):
     ]
 
 
+def test_stats_counts_repeated_records_once(tmp_path):
+    record = json.dumps(
+        {"sentence_id": "s0", "event_type": "LAUNCH", "n_tokens": 10,
+         "spans": [{"start": 0, "end": 2, "label": "Payload"}]}
+    )
+    annotations = tmp_path / "twice.jsonl"
+    annotations.write_text(f"{record}\n{record}\n", encoding="utf-8")
+    code, out, _ = run("stats", "--annotations", str(annotations))
+    assert code == 0
+    assert out.splitlines()[2].split() == ["Launch", "unassigned", "1", "2", "10"]
+    annotations.write_text(f"{record}\n{record.replace('10', '11')}\n", encoding="utf-8")
+    code, out, err = run("stats", "--annotations", str(annotations))
+    assert code == 1
+    assert out == ""
+    assert "disagree on the split or the token count" in err
+
+
 def test_annotation_span_past_the_token_count_is_an_input_error(tmp_path):
     annotations = tmp_path / "long-span.jsonl"
     annotations.write_text(
@@ -566,12 +583,12 @@ def test_config_validation_exit_codes():
 
 
 def test_unexpected_failures_exit_two(monkeypatch):
-    import spacevents.cli as cli
+    import spacevents.matching as matching
 
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "extract_events", explode)
+    monkeypatch.setattr(matching, "extract_events", explode)
     code, _, err = run("extract", "--corpus", CORPUS, "--workers", "1")
     assert code == 2
     assert "internal error" in err
@@ -579,7 +596,7 @@ def test_unexpected_failures_exit_two(monkeypatch):
     def odd(*args, **kwargs):
         raise SpaceventsError("odd state")
 
-    monkeypatch.setattr(cli, "extract_events", odd)
+    monkeypatch.setattr(matching, "extract_events", odd)
     code, _, err = run("extract", "--corpus", CORPUS, "--workers", "1")
     assert code == 2
     assert "internal error: odd state" in err
@@ -592,6 +609,50 @@ def test_broken_pipe_exits_cleanly():
 
     code, _, _ = run("extract", "--corpus", CORPUS, "--workers", "1", stdout=ClosedPipe())
     assert code == 0
+
+
+IMPORT_PROBE = """
+import io, json, sys
+from spacevents.cli import main
+code = main(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO())
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("spacevents."))]))
+"""
+
+
+def test_commands_import_only_the_modules_they_use():
+    src = str(Path(spacevents.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    unused = {
+        "extract": {"evaluation", "dedup"},
+        "dedup": {"rules", "matching", "index", "gazetteer", "evaluation"},
+    }
+    for command, modules in unused.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, command, "--corpus", CORPUS],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert "spacevents.documents" in loaded
+        assert not {f"spacevents.{name}" for name in modules} & set(loaded), command
+
+
+def test_every_public_name_resolves_on_first_lookup():
+    src = str(Path(spacevents.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import json, spacevents\n"
+        "listed = set(dir(spacevents))\n"
+        "print(json.dumps([[n for n in spacevents.__all__ if n not in listed],\n"
+        "                  [n for n in spacevents.__all__ if not hasattr(spacevents, n)],\n"
+        "                  hasattr(spacevents, 'no_such_name')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], False]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,3 +1,5 @@
+import gc
+import json
 import random
 from datetime import date
 
@@ -19,7 +21,13 @@ from spacevents import (
 from spacevents.documents import document_spans, document_to_dict, sentence_issues
 from spacevents.errors import ParseError, SchemaError, StructureError
 
-from helpers import load_small_corpus, make_sentence, random_corpus
+from helpers import (
+    load_small_corpus,
+    make_sentence,
+    random_corpus,
+    reference_parse_conllu,
+    reference_parse_jsonl_documents,
+)
 
 
 def test_parse_small_corpus():
@@ -428,3 +436,173 @@ def test_validate_corpus_flags_duplicate_sentence_ids():
 def test_splits_constant():
     assert SPLITS == ("train", "dev", "test", "unseen", "unassigned")
     assert ROOT == -1
+
+
+# ---------------------------------------------------------------------------
+# the parsers against their reference copies, on mutated corpora
+
+WRONG_TYPES = (True, 1.0, None, [], {}, "7", 7)
+ODD_NUMBERS = ("0", "01", " 1", "+1", "1_0", "١", "-1", "1-2", "1.1", "x", "", "1024", "99999")
+
+
+def _mutate_conllu(rng: random.Random, text: str) -> str:
+    lines = text.split("\n")
+    at = rng.randrange(len(lines) - 1)
+    row = rng.choice([i for i, line in enumerate(lines) if line[:1].isdigit()])
+    cols = lines[row].split("\t")
+    kind = rng.randrange(14)
+    if kind == 0:
+        del lines[at]
+    elif kind == 1:
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    elif kind == 2:
+        lines.insert(at, lines[at])
+    elif kind == 3:
+        del cols[rng.randrange(10)]
+    elif kind == 4:
+        a, b = rng.sample(range(10), 2)
+        cols[a], cols[b] = cols[b], cols[a]
+    elif kind == 5:
+        column = rng.randrange(10)
+        cols.insert(column, cols[column])
+    elif kind == 6:
+        cols[6] = cols[0]  # the token is its own head
+    elif kind == 7:
+        cols[6] = str(rng.randint(13, 40))  # past every sentence's end
+    elif kind == 8:
+        cols[6] = "0"  # a second root, unless this was the root
+    elif kind == 9:
+        cols[6] = str(rng.randint(1, 12))  # maybe later, maybe a cycle
+    elif kind == 10:
+        cols[1] = ""
+    elif kind == 11:
+        cols[rng.choice((0, 6))] = rng.choice(ODD_NUMBERS)
+    elif kind == 12:
+        lines.insert(at, rng.choice(("# split = nope", "# collected_at = 2020-13-01", " \t", "  x")))
+    else:
+        cols[9] = rng.choice(("Ner=DATE|Chunk=B-NP", "Chunk", "Ner=", "|"))
+    lines[row] = "\t".join(cols)
+    return "\n".join(lines)
+
+
+def _mutate_jsonl(rng: random.Random, text: str) -> str:
+    lines = text.split("\n")[:-1]
+    at = rng.randrange(len(lines) - 1)
+    kind = rng.randrange(11)
+    if kind == 0:
+        del lines[at]
+        return "\n".join(lines)
+    if kind == 1:
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        return "\n".join(lines)
+    record = json.loads(lines[at])
+    sent = rng.choice(record["sentences"])
+    tok = rng.choice(sent["tokens"])
+    edge = rng.choice(sent["edges"])
+    if kind == 2:
+        owner = rng.choice((record, sent, tok, edge))
+        owner[rng.choice(sorted(owner) + ["ner", "chunk", "source", "split"])] = rng.choice(
+            WRONG_TYPES
+        )
+    elif kind == 3:
+        owner = rng.choice((record, sent, tok, edge))
+        del owner[rng.choice(sorted(owner))]
+    elif kind == 4:
+        tok["surface"] = ""
+    elif kind == 5:
+        edge["head"] = edge["dep"]
+    elif kind == 6:
+        edge["head"] = rng.choice((-1, -2, len(sent["tokens"]), 10**20))
+    elif kind == 7:
+        edge["head"] = rng.randrange(len(sent["tokens"]))  # maybe later, maybe a cycle
+    elif kind == 8:
+        owner, key = rng.choice(((tok, "ner"), (tok, "chunk"), (record, "source"), (record, "split")))
+        owner[key] = rng.choice((None, 1, "", "B-NP"))
+    elif kind == 9:
+        items = rng.choice((sent["tokens"], sent["edges"], record["sentences"]))
+        a, b = rng.randrange(len(items)), rng.randrange(len(items))
+        rng.choice((lambda: items.insert(a, items[b]), lambda: items.pop(a),
+                    lambda: items.insert(a, items.pop(b))))()
+    else:
+        record[rng.choice(("collected_at", "split"))] = rng.choice(("2020-02-30", "nope", "dev"))
+    lines[at] = json.dumps(record, ensure_ascii=False)
+    return "\n".join(lines)
+
+
+def test_parsers_share_equal_tokens_and_edges_only():
+    rows = [("Sat", "sat", "PROPN", -1, "root"), ("flew", "fly", "VERB", 0, "dep")]
+    variants = [rows, rows, [rows[0] + ("SPACECRAFT",), rows[1]],
+                [rows[0] + (None, "B-NP"), rows[1]], [rows[0], rows[1][:4] + ("obj",)]]
+    docs = [Document("d", tuple(make_sentence(f"s{i}", r) for i, r in enumerate(variants)))]
+    for parsed in (parse_conllu(serialize_conllu(docs)),
+                   parse_jsonl_documents(serialize_jsonl_documents(docs))):
+        assert parsed == docs
+        s0, s1, *others = parsed[0].sentences
+        assert s0.tokens[0] is s1.tokens[0] and s0.edges[1] is s1.edges[1]
+        assert all(s.tokens[0] is not s0.tokens[0] for s in others[:2])
+        assert others[2].edges[1] is not s0.edges[1]
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "fmt, parse, reference, serialize, mutate",
+    [
+        ("conllu", parse_conllu, reference_parse_conllu, serialize_conllu, _mutate_conllu),
+        ("jsonl", parse_jsonl_documents, reference_parse_jsonl_documents,
+         serialize_jsonl_documents, _mutate_jsonl),
+    ],
+)
+def test_parsers_agree_with_their_reference_on_mutated_corpora(
+    fmt, parse, reference, serialize, mutate
+):
+    rng = random.Random(f"mutants/{fmt}")
+    accepted = refused = 0
+    for n in range(250):
+        docs = random_corpus(rng, 4, sentences_per_doc=(1, 3), entity_chance=0.2, dated=True)
+        text = mutate(rng, serialize(docs))
+        if n % 5 == 0:
+            text = text.replace("\n", "\r\n")
+        source = text.splitlines(keepends=True) if n % 7 == 0 else text
+        expected = _outcome(reference, source)
+        assert _outcome(parse, source) == expected, text
+        if isinstance(expected, list):
+            accepted += 1
+        else:
+            refused += 1
+    assert accepted >= 25 and refused >= 100
+
+
+def test_parsers_pause_the_collector_and_restore_its_state():
+    states = []
+
+    def watched(text):
+        for line in text.splitlines(keepends=True):
+            states.append(gc.isenabled())
+            yield line
+
+    good_conllu = serialize_conllu(load_small_corpus())
+    good_jsonl = serialize_jsonl_documents(load_small_corpus())
+    cases = [
+        (parse_conllu, good_conllu, good_conllu.replace("\t0\troot\t", "\t2\troot\t", 1)),
+        (parse_jsonl_documents, good_jsonl, good_jsonl.replace('"head":-1', '"head":1', 1)),
+    ]
+    assert gc.isenabled()
+    for parse, good, rootless in cases:
+        assert parse(watched(good)) == load_small_corpus()
+        with pytest.raises(StructureError, match="expected exactly one root edge, found 0"):
+            parse(watched(rootless))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(StructureError):
+                parse(rootless)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+    assert states and not any(states)

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -263,6 +264,21 @@ def test_read_annotations_happy_path():
     ]
 
 
+def test_read_annotations_splits_lines_only_at_line_endings():
+    lines = [
+        json.dumps(
+            {"sentence_id": f"s{i}", "event_type": "LAUNCH", "spans": [], "tokens": tokens},
+            ensure_ascii=False,
+        )
+        for i, tokens in enumerate((["a\u2028b", "c"], ["d\u0085e", "f", "g"]))
+    ]
+    expected = [_ann("s0", "LAUNCH", [], n_tokens=2), _ann("s1", "LAUNCH", [], n_tokens=3)]
+    for ending in ("\n", "\r\n", "\r"):
+        assert read_annotations(ending.join(lines) + ending) == expected
+    with pytest.raises(SchemaError, match="line 3: invalid JSON"):
+        read_annotations("\r\n".join(lines + ["{"]))
+
+
 def test_read_annotations_errors():
     with pytest.raises(SchemaError, match="line 1: invalid JSON"):
         read_annotations("{")
@@ -507,6 +523,19 @@ def test_corpus_stats_hand_counts():
         ("LAUNCH", "train", 2, 5, 12),
         ("LAUNCH", "dev", 1, 0, 4),
     ]
+
+
+def test_corpus_stats_counts_a_sentence_once_per_event_type():
+    records = [
+        _ann("s1", "LAUNCH", [(0, 2, "SatelliteName")], split="train", n_tokens=10),
+        _ann("s1", "LAUNCH", [(0, 2, "SatelliteName"), (4, 5, "Date")], split="train", n_tokens=10),
+        _ann("s1", "FAILURE", [(0, 1, "LaunchVehicle")], split="train", n_tokens=10),
+    ]
+    rows = [(r.event_type, r.sentences, r.tagged_tokens, r.total_tokens) for r in corpus_stats(records)]
+    assert rows == [("FAILURE", 1, 1, 10), ("LAUNCH", 1, 3, 10)]
+    for other in (replace(records[1], n_tokens=11), replace(records[1], split="dev")):
+        with pytest.raises(InputError, match="records for sentence 's1' and event type LAUNCH disagree"):
+            corpus_stats([records[0], other])
 
 
 def test_corpus_stats_requires_token_counts():

@@ -49,6 +49,18 @@ def test_read_gazetteer_tsv():
     ]
 
 
+def test_read_gazetteer_splits_lines_only_at_line_endings():
+    rows = ["SPACECRAFT\tSat\u2028One", "ORGANIZATION\tAgency\u0085Two\tA2"]
+    expected = [
+        GazetteerEntry("SPACECRAFT", "Sat\u2028One"),
+        GazetteerEntry("ORGANIZATION", "Agency\u0085Two", ("A2",)),
+    ]
+    for ending in ("\n", "\r\n", "\r"):
+        assert read_gazetteer(ending.join(rows) + ending) == expected
+    with pytest.raises(ParseError, match="line 3.*columns"):
+        read_gazetteer("\r".join(rows + ["SPACECRAFT"]))
+
+
 def test_read_gazetteer_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1.*columns"):
         read_gazetteer("SPACECRAFT\n")
