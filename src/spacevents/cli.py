@@ -86,10 +86,11 @@ def _corpus_format(path: str, fmt: str | None) -> str:
     return fmt or ("conllu" if path.endswith(".conllu") else "jsonl")
 
 
-def _parse(text: str, fmt: str):
-    from .documents import parse_conllu, parse_jsonl_documents
+def _parse(text: str, fmt: str, sentence_ids=None):
+    # with ``sentence_ids``, only the sentences with those ids are built
+    from .documents import _parse_conllu, _parse_jsonl
 
-    return parse_conllu(text) if fmt == "conllu" else parse_jsonl_documents(text)
+    return (_parse_conllu if fmt == "conllu" else _parse_jsonl)(text, sentence_ids)
 
 
 def _parse_documents(path: str, fmt: str | None):
@@ -232,13 +233,15 @@ def _cmd_index(args, out, err) -> int:
 
 
 def _candidate_documents(args, index, rules):
-    """Parse only the corpus documents that hold a candidate sentence of some rule.
+    """Build only the rules' candidate sentences, in the documents that hold them.
 
-    The index must fingerprint this very file: then every skipped byte
-    was parsed and validated in full when the index was built, duplicate
-    document ids included, and the scan's result is unchanged.
+    Each such document is parsed from its byte span alone and holds just
+    its candidate sentences, in file order.  The index must fingerprint
+    this very file: then every skipped byte was parsed and validated in
+    full when the index was built, duplicate document ids included, and
+    the scan's result is unchanged.
     """
-    from .index import candidate_sentences
+    from .matching import candidate_sentence_ids
 
     corpus = index.corpus
     if corpus is None:
@@ -250,14 +253,17 @@ def _candidate_documents(args, index, rules):
     data = _read_bytes(args.corpus)
     if not corpus.matches(data, fmt):
         raise InputError(f"{args.index}: built for a different corpus")
-    wanted = {doc_id for rule in rules for doc_id, _ in candidate_sentences(index, rule)}
+    wanted = candidate_sentence_ids(index, rules)
     docs = []
     for doc_id, offset, length in corpus.documents:
-        if doc_id in wanted:
-            wanted.discard(doc_id)
-            parsed = _parse(_decode(data[offset : offset + length], args.corpus), fmt)
+        sentence_ids = wanted.pop(doc_id, None)
+        if sentence_ids is not None:
+            text = _decode(data[offset : offset + length], args.corpus)
+            parsed = _parse(text, fmt, sentence_ids)
             if [doc.id for doc in parsed] != [doc_id]:
                 raise InputError(f"{args.index}: document table does not match the corpus")
+            if len(parsed[0].sentences) != len(sentence_ids):
+                raise InputError(f"{args.index}: sentence table does not match the corpus")
             docs.extend(parsed)
     if wanted:
         raise InputError(f"{args.index}: document table does not match the corpus")
@@ -270,14 +276,14 @@ def _extract(args):
     from .matching import extract_events
 
     rules = _load_rules(args.rules)
-    index = None
     if getattr(args, "index", None):
-        index = load_index(args.index)
-        docs = _candidate_documents(args, index, rules)
+        # the documents hold only candidate sentences, so a scan of them
+        # visits what the index would select
+        docs = _candidate_documents(args, load_index(args.index), rules)
     else:
         docs = _read_documents(args.corpus, args.format)
     layer = ner_layer(_load_gazetteer(args.gazetteer))
-    events = extract_events(docs, rules, index=index, ner=layer, workers=args.workers)
+    events = extract_events(docs, rules, ner=layer, workers=args.workers)
     return docs, events
 
 

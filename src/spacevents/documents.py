@@ -11,7 +11,9 @@ supported and round-trip through each other:
 
 In both a line ends at ``\n``, after dropping one ``\r`` before it (see
 ``_lines``).  ``document_spans`` finds each document's bytes in a corpus
-file without parsing it, so a reader can parse only the documents it needs.
+file without parsing it, so a reader can parse only the documents it needs,
+and ``_parse_conllu`` and ``_parse_jsonl``, which the public parsers call,
+can build only some of a document's sentences, given their ids.
 
 Every loaded sentence is checked for structural sanity: exactly one edge
 per token, exactly one root, no cycles.  Edges are kept in a canonical
@@ -347,11 +349,11 @@ def _collector_paused(parse):
     """
 
     @wraps(parse)
-    def paused(source):
+    def paused(*args):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return parse(source)
+            return parse(*args)
         finally:
             if enabled:
                 gc.enable()
@@ -370,12 +372,24 @@ _TOKEN_LINE_START = frozenset("0123456789")
 _DECIMAL = {str(i): i for i in range(1024)}
 
 
-@_collector_paused
 def parse_conllu(source) -> list[Document]:
     """Parse CoNLL-U text (a string or a line iterable) into documents.
 
     Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
     rejected; the corpus contract is one syntactic token per line.
+    """
+    return _parse_conllu(source, None)
+
+
+@_collector_paused
+def _parse_conllu(source, sentence_ids) -> list[Document]:
+    """``parse_conllu``, keeping only the sentences whose id is in ``sentence_ids``.
+
+    With ``sentence_ids`` None every sentence is kept.  A sentence's
+    ``# sent_id`` comes before its token lines, so the token lines of a
+    sentence left out are skipped unread; holding neither id nor tokens,
+    it closes as nothing.  What is skipped is not checked: filter only
+    text that parses in full.
     """
     docs: list[Document] = []
     doc_meta: dict | None = None
@@ -386,6 +400,7 @@ def parse_conllu(source) -> list[Document]:
     tokens: list[Token] = []
     edges: list[DepEdge] = []
     heads: list[int] = []
+    skip = False  # the current sentence is left out
     # equal tokens and edges share one object each
     token_of: dict[tuple, Token] = {}
     edge_of: dict[tuple[int, int, str], DepEdge] = {}
@@ -467,7 +482,10 @@ def parse_conllu(source) -> list[Document]:
                         "split": "unassigned",
                     }
                 elif key == "sent_id":
-                    sent_id = value
+                    skip = sentence_ids is not None and value not in sentence_ids
+                    # a sentence left out gets neither id nor tokens, so
+                    # close_sentence passes over it
+                    sent_id = None if skip else value
                     sent_line = line_no
                 elif key in ("split", "source", "collected_at"):
                     if doc_meta is None:
@@ -482,6 +500,8 @@ def parse_conllu(source) -> list[Document]:
                         doc_meta["collected_at"] = _parse_date(value, line_no)
                 continue
         # a token line: any line that is neither blank nor a comment
+        if skip:
+            continue
         cols = line.split("\t")
         if len(cols) != 10:
             raise ParseError(
@@ -742,7 +762,7 @@ def _checked_sentences(raw_sentences: list, line: int, doc_id: str) -> list[Sent
     return sentences
 
 
-def _doc_from_dict(obj, line: int, token_of: dict, edge_of: dict) -> Document:
+def _doc_from_dict(obj, line: int, token_of: dict, edge_of: dict, sentence_ids) -> Document:
     if not isinstance(obj, dict):
         raise SchemaError(f"line {line}: document record must be an object")
     doc_id = _require(obj, "id", str, line, "")
@@ -753,15 +773,27 @@ def _doc_from_dict(obj, line: int, token_of: dict, edge_of: dict) -> Document:
     if split not in SPLITS:
         raise SchemaError(f"line {line}: unknown split {split!r}")
     raw_sentences = _require(obj, "sentences", list, line, "")
+    if sentence_ids is not None:
+        raw_sentences = [raw for raw in raw_sentences if raw["id"] in sentence_ids]
     sentences = _fast_sentences(raw_sentences, token_of, edge_of)
     if sentences is None:
         sentences = _checked_sentences(raw_sentences, line, doc_id)
     return Document(doc_id, sentences, source, collected, split)
 
 
-@_collector_paused
 def parse_jsonl_documents(source) -> list[Document]:
     """Parse JSON-lines text (a string or a line iterable) into documents."""
+    return _parse_jsonl(source, None)
+
+
+@_collector_paused
+def _parse_jsonl(source, sentence_ids) -> list[Document]:
+    """``parse_jsonl_documents``, keeping only the sentences whose id is in ``sentence_ids``.
+
+    With ``sentence_ids`` None every sentence is kept.  Each record is
+    read whole, but only the sentences kept become objects.  What is left
+    out is not checked: filter only text that parses in full.
+    """
     docs: list[Document] = []
     # equal tokens and edges share one object each
     token_of: dict[tuple, Token] = {}
@@ -774,7 +806,7 @@ def parse_jsonl_documents(source) -> list[Document]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
-        docs.append(_doc_from_dict(obj, line_no, token_of, edge_of))
+        docs.append(_doc_from_dict(obj, line_no, token_of, edge_of, sentence_ids))
     return docs
 
 

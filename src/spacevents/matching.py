@@ -299,6 +299,15 @@ def _event_order(ev: EventMention):
     return (ev.doc_id, ev.sentence_id, ev.rule_name, ev.trigger, ev.event_type)
 
 
+def candidate_sentence_ids(index: InvertedIndex, rules: Sequence[Rule]) -> dict[str, set[str]]:
+    """The ids of the rules' candidate sentences (see ``candidate_sentences``), per document id."""
+    wanted: dict[str, set[str]] = {}
+    for rule in rules:
+        for doc_id, sent_id in candidate_sentences(index, rule):
+            wanted.setdefault(doc_id, set()).add(sent_id)
+    return wanted
+
+
 def extract_events(
     docs: Sequence[Document],
     rules: Sequence[Rule],
@@ -323,12 +332,7 @@ def extract_events(
     rules = list(rules)
     matcher = _Matcher(rules)
     ner_fn: NerLayer = ner if ner is not None else (lambda sentence: ())
-    wanted: dict[str, set[str]] | None = None
-    if index is not None:
-        wanted = {}
-        for rule in rules:
-            for doc_id, sent_id in candidate_sentences(index, rule):
-                wanted.setdefault(doc_id, set()).add(sent_id)
+    wanted = None if index is None else candidate_sentence_ids(index, rules)
     events: list[EventMention] = []
     for doc in docs:
         sentences = doc.sentences

@@ -128,14 +128,14 @@ def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monk
 
     # only the candidate documents are parsed, and the output is unchanged
     parsed = []
-    original = documents.parse_conllu
+    original = documents._parse_conllu
 
-    def recording(text):
-        docs = original(text)
+    def recording(text, sentence_ids):
+        docs = original(text, sentence_ids)
         parsed.extend(doc.id for doc in docs)
         return docs
 
-    monkeypatch.setattr(documents, "parse_conllu", recording)
+    monkeypatch.setattr(documents, "_parse_conllu", recording)
     code, indexed, _ = run("extract", "--corpus", str(corpus), "--index", str(index_path))
     assert code == 0
     assert parsed == ["d1", "d2"]
@@ -151,6 +151,74 @@ def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monk
     assert code == 1
     assert out == ""
     assert err == f"error: {index_path}: built for a different corpus\n"
+
+
+# a document whose one candidate sentence sits between two that no trigger can match
+MIXED_DOC = (
+    "\n# newdoc id = d4\n# sent_id = before\n"
+    "1\tCrews\tcrew\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n"
+    "2\tinspected\tinspect\tVERB\tVBD\t_\t0\troot\t_\t_\n"
+    "3\tEnvisat\tEnvisat\tPROPN\tNNP\t_\t2\tobj\t_\t_\n\n"
+    "# sent_id = launch\n"
+    "1\tESA\tESA\tPROPN\tNNP\t_\t2\tnsubj\t_\t_\n"
+    "2\tlaunched\tlaunch\tVERB\tVBD\t_\t0\troot\t_\t_\n"
+    "3\tEnvisat\tEnvisat\tPROPN\tNNP\t_\t2\tobj\t_\t_\n\n"
+    "# sent_id = after\n"
+    "1\tEngineers\tengineer\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n"
+    "2\twaited\twait\tVERB\tVBD\t_\t0\troot\t_\t_\n\n"
+)
+
+
+def test_indexed_commands_build_only_the_candidate_sentences(tmp_path, monkeypatch):
+    import spacevents.documents as documents
+
+    conllu = tmp_path / "mixed.conllu"
+    conllu.write_text(Path(CORPUS).read_text(encoding="utf-8") + MIXED_DOC, encoding="utf-8")
+    jsonl = tmp_path / "mixed.jsonl"
+    assert run("ingest", "--corpus", str(conllu), stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    edits = {
+        conllu: ("\tinspected\tinspect\t", "\texamined\texamine\t"),
+        jsonl: ('"surface":"inspected","lemma":"inspect"', '"surface":"examined","lemma":"examine"'),
+    }
+    for corpus, (old, new) in edits.items():
+        index_path = tmp_path / f"{corpus.name}.idx"
+        assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
+        scanned = run("extract", "--corpus", str(corpus))
+        assert '"doc_id":"d4","sentence_id":"launch"' in scanned[1]
+
+        built = []
+        for name in ("_parse_conllu", "_parse_jsonl"):
+            def recording(text, sentence_ids, original=getattr(documents, name)):
+                docs = original(text, sentence_ids)
+                built.extend((doc.id, sent.id) for doc in docs for sent in doc.sentences)
+                return docs
+
+            monkeypatch.setattr(documents, name, recording)
+        assert run("extract", "--corpus", str(corpus), "--index", str(index_path)) == scanned
+        monkeypatch.undo()
+        assert sorted(built) == [
+            ("d1", "s1"), ("d1", "s2"), ("d2", "s1"), ("d2", "s2"), ("d4", "launch")
+        ]
+
+        # one token changed in a sentence that was not built
+        text = corpus.read_text(encoding="utf-8")
+        assert old in text
+        corpus.write_text(text.replace(old, new), encoding="utf-8")
+        code, out, err = run("extract", "--corpus", str(corpus), "--index", str(index_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {index_path}: built for a different corpus\n"
+
+
+def test_sentence_table_that_names_a_missing_sentence_is_an_input_error(tmp_path):
+    index_path = tmp_path / "small.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
+    index = load_index(index_path)
+    assert index.sentences[0] == ("d1", "s1")
+    forged = replace(index, sentences=(("d1", "s1x"),) + index.sentences[1:])
+    save_index(forged, index_path)
+    code, out, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {index_path}: sentence table does not match the corpus\n"
 
 
 def test_index_of_the_same_documents_in_another_format_is_an_input_error(tmp_path):

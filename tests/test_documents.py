@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -18,7 +19,13 @@ from spacevents import (
     serialize_jsonl_documents,
     validate_corpus,
 )
-from spacevents.documents import document_spans, document_to_dict, sentence_issues
+from spacevents.documents import (
+    _parse_conllu,
+    _parse_jsonl,
+    document_spans,
+    document_to_dict,
+    sentence_issues,
+)
 from spacevents.errors import ParseError, SchemaError, StructureError
 
 from helpers import (
@@ -231,6 +238,37 @@ def test_jsonl_spans_skip_lines_the_parser_reads_as_blank():
     spans = assert_spans_parse_alone(data, "jsonl")
     assert len(spans) == 2
     assert document_spans(b"", "jsonl") == document_spans(b"\n \n", "jsonl") == []
+
+
+def test_a_document_span_parsed_for_some_sentence_ids_holds_just_those():
+    rng = random.Random(47)
+    parsers = {"conllu": _parse_conllu, "jsonl": _parse_jsonl}
+    for trial in range(10):
+        docs = [
+            replace(doc, source=f"feed{d}", split=rng.choice(SPLITS)) if d % 3 == 1 else doc
+            for d, doc in enumerate(random_corpus(
+                rng, rng.randint(1, 8), sentences_per_doc=(1, 6), trigger_chance=0.1,
+                entity_chance=0.1, dated=trial % 2 == 0,
+            ))
+        ]
+        conllu = serialize_conllu(docs)
+        for text, fmt in (
+            (conllu, "conllu"),
+            (serialize_jsonl_documents(docs), "jsonl"),
+            (conllu.replace("\n", "\r\n"), "conllu"),
+        ):
+            data = text.encode("utf-8")
+            whole = _parse(text, fmt)
+            assert whole == docs
+            for (offset, length), doc in zip(document_spans(data, fmt), whole):
+                ids = [sent.id for sent in doc.sentences]
+                wanted = set(rng.sample(ids, rng.randint(1, len(ids))))
+                parsed = parsers[fmt](data[offset : offset + length].decode("utf-8"), wanted)
+                kept = tuple(sent for sent in doc.sentences if sent.id in wanted)
+                assert parsed == [replace(doc, sentences=kept)]
+                assert [sent.id for sent in parsed[0].sentences] == [
+                    sent_id for sent_id in ids if sent_id in wanted
+                ]
 
 
 def _conllu(*lines):

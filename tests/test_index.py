@@ -220,6 +220,23 @@ def test_load_rejects_corrupt_files(tmp_path):
             load_index(path)
 
 
+def test_ref_table_errors_read_as_the_field_reader_words_them(tmp_path):
+    path = tmp_path / "refs.idx"
+    docs = [replace(doc, id=f"dé{doc.id}") for doc in load_small_corpus()]
+    save_index(build_index(docs), path)
+    data = path.read_bytes()
+    loaded = load_index(path)
+    assert loaded.sentences[:2] == (("déd1", "s1"), ("déd1", "s2"))
+    assert loaded.sentences[0][0] is loaded.sentences[1][0]  # equal ids share one string
+    first = data.index("dé".encode()) + 1  # the first byte of é
+    path.write_bytes(data[: first + 1])  # cut inside the character: truncated, not bad UTF-8
+    with pytest.raises(InputError, match="truncated"):
+        load_index(path)
+    path.write_bytes(data[:first] + b"\xff" + data[first + 1 :])
+    with pytest.raises(InputError, match="not UTF-8"):
+        load_index(path)
+
+
 def test_empty_index_roundtrip(tmp_path):
     path = tmp_path / "empty.idx"
     save_index(InvertedIndex(postings={}), path)
