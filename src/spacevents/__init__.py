@@ -98,6 +98,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -114,85 +115,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANCHOR_SLOTS",
-    "ANNOTATION_HEADER",
-    "AnnotationLayer",
-    "Atom",
-    "CandidateSentence",
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_UNSEEN_FRACTION",
-    "DepEdge",
-    "DepPathStep",
-    "Document",
-    "ErrorBuckets",
-    "ENTITY_TYPES",
-    "EVENT_TYPES",
-    "EvalReport",
-    "EventMention",
-    "EventSchema",
-    "GazetteerEntry",
-    "GazetteerMatcher",
-    "InputError",
-    "InvertedIndex",
-    "LabeledSpan",
-    "Mention",
-    "ParseError",
-    "PoolAssignment",
-    "ROOT",
-    "Rule",
-    "RuleError",
-    "SCHEMAS",
-    "SPLITS",
-    "SchemaError",
-    "Sentence",
-    "SentenceAnnotation",
-    "SlotPattern",
-    "SlotScore",
-    "SlotSpec",
-    "SpaceventsError",
-    "StructureError",
-    "TermVector",
-    "Token",
-    "TokenPattern",
-    "ValidationResult",
-    "agreement",
-    "annotation_task_records",
-    "assign_splits",
-    "bio_to_spans",
-    "build_index",
-    "candidate_sentences",
-    "chunk_span",
-    "classify_errors",
-    "compile_gazetteer",
-    "consensus",
-    "corpus_stats",
-    "cosine_similarity",
-    "event_to_dict",
-    "extract_events",
-    "generic_mentions",
-    "load_index",
-    "match_rule",
-    "merge_ner",
-    "micro_average",
-    "ner_layer",
-    "parse_conllu",
-    "parse_jsonl_documents",
-    "parse_rules",
-    "pool_duplicates",
-    "read_annotations",
-    "read_gazetteer",
-    "save_index",
-    "score_slots",
-    "serialize_conllu",
-    "serialize_jsonl_documents",
-    "shortlist",
-    "spans_to_bio",
-    "tag_sentence",
-    "traverse_path",
-    "trigger_anchor",
-    "unigram_vector",
-    "validate_corpus",
-    "validate_event",
-]

@@ -78,8 +78,8 @@ def _decode(data: bytes, path: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """A rules, gazetteer or annotation file, with any line ending read as ``\\n``."""
-    return _decode(_read_bytes(path), path).replace("\r\n", "\n").replace("\r", "\n")
+    """A rules, gazetteer or annotation file; each of their readers owns its line endings."""
+    return _decode(_read_bytes(path), path)
 
 
 def _corpus_format(path: str, fmt: str | None) -> str:

@@ -23,12 +23,13 @@ the order edges appeared in the input.
 The parsers take an accept path that builds no message.  Each sentence's
 head links pass ``_is_tree``, a single-pass test; only a sentence that
 fails it goes to ``sentence_issues``, which owns every structure message.
-A JSONL record's sentences are read by ``_fast_sentences``, which checks
-each value's exact JSON type; at the first value it refuses, the record
-is read again by ``_checked_sentences``, which owns the schema messages,
-so every error reads as it would without the accept path.  Within one
-parse call, equal tokens and equal edges share one (frozen) object, and
-the cyclic garbage collector is paused, since parsing creates no cycles.
+A JSONL record is read once, by ``_doc_from_dict`` and the one sentence
+reader it calls, ``_read_sentences``: each value's exact JSON type is
+checked in record order, and only the first value refused builds a
+message, through ``_refused``, raised where the value is found.  Within
+one parse call, equal tokens and equal edges share one (frozen) object,
+and the cyclic garbage collector is paused, since parsing creates no
+cycles.
 """
 
 from __future__ import annotations
@@ -612,147 +613,116 @@ def serialize_conllu(docs: Iterable[Document]) -> str:
 # JSON lines
 
 
-def _require(obj: dict, key: str, kinds, line: int, path: str):
-    if key not in obj:
-        raise SchemaError(f"line {line}: missing required field {path}{key}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise SchemaError(f"line {line}: field {path}{key} has the wrong type")
-    return value
-
-
-def _optional_str(obj: dict, key: str, line: int, path: str) -> str | None:
-    if key not in obj:
-        return None
-    value = obj[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"line {line}: field {path}{key} must be a string")
-    return value
-
-
 _ABSENT = object()
 
 
-def _fast_sentences(raw_sentences: list, token_of: dict, edge_of: dict) -> list | None:
-    """A record's sentences, or None at the first value ``_checked_sentences`` refuses.
+def _refused(
+    obj: dict, key: str, line: int, path: str = "", optional: bool = False
+) -> SchemaError:
+    """The error for field ``key`` of ``obj``, whose value the reader refused.
 
-    Types are checked exactly, with ``type(x) is``, which is what JSON
-    values allow, and no message is built: a caller that gets None runs
-    ``_checked_sentences``, which owns every message.
+    A required field is missing or has the wrong type; an optional field
+    is refused only when present, and must then be a string.
+    """
+    if optional:
+        return SchemaError(f"line {line}: field {path}{key} must be a string")
+    if key not in obj:
+        return SchemaError(f"line {line}: missing required field {path}{key}")
+    return SchemaError(f"line {line}: field {path}{key} has the wrong type")
+
+
+def _read_sentences(
+    raw_sentences: list, line: int, doc_id: str, token_of: dict, edge_of: dict
+) -> list[Sentence]:
+    """A JSONL record's sentences, raising the message of the first value refused.
+
+    Each value is checked once, in record order, for its exact JSON type
+    (``type(x) is``), and a message is built only for the value refused.
+    An empty surface, or edges that do not give each token one head, are
+    not refused on sight: they keep the sentence from the ``_is_tree``
+    test, so ``sentence_issues`` explains it after its edges are read.
     """
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for raw_sent in raw_sentences:
+    for i, raw_sent in enumerate(raw_sentences):
         if type(raw_sent) is not dict:
-            return None
+            raise SchemaError(f"line {line}: sentences[{i}] must be an object")
         sent_id = raw_sent.get("id")
+        if type(sent_id) is not str:
+            raise _refused(raw_sent, "id", line, f"sentences[{i}].")
         raw_tokens = raw_sent.get("tokens")
+        if type(raw_tokens) is not list:
+            raise _refused(raw_sent, "tokens", line, f"sentences[{i}].")
         raw_edges = raw_sent.get("edges")
-        if (
-            type(sent_id) is not str
-            or sent_id in seen
-            or type(raw_tokens) is not list
-            or type(raw_edges) is not list
-            or len(raw_edges) != len(raw_tokens)
-        ):
-            return None
+        if type(raw_edges) is not list:
+            raise _refused(raw_sent, "edges", line, f"sentences[{i}].")
+        n = len(raw_tokens)
+        ok = len(raw_edges) == n  # every token has a surface and one head, so far
         tokens: list[Token] = []
-        for index, raw_tok in enumerate(raw_tokens):
+        for j, raw_tok in enumerate(raw_tokens):
             if type(raw_tok) is not dict:
-                return None
+                raise SchemaError(f"line {line}: sentences[{i}].tokens[{j}] must be an object")
             surface = raw_tok.get("surface")
+            if type(surface) is not str:
+                raise _refused(raw_tok, "surface", line, f"sentences[{i}].tokens[{j}].")
             lemma = raw_tok.get("lemma")
+            if type(lemma) is not str:
+                raise _refused(raw_tok, "lemma", line, f"sentences[{i}].tokens[{j}].")
             pos = raw_tok.get("pos")
+            if type(pos) is not str:
+                raise _refused(raw_tok, "pos", line, f"sentences[{i}].tokens[{j}].")
+            # most tokens lack ner and chunk: a sentinel spares a second lookup
             ner = raw_tok.get("ner", _ABSENT)
-            chunk = raw_tok.get("chunk", _ABSENT)
-            if type(surface) is not str or type(lemma) is not str or type(pos) is not str:
-                return None
-            if not surface:
-                return None  # refused by sentence_issues
             if ner is _ABSENT:
                 ner = None
             elif type(ner) is not str:
-                return None
+                raise _refused(
+                    raw_tok, "ner", line, f"sentences[{i}].tokens[{j}].", optional=True
+                )
+            chunk = raw_tok.get("chunk", _ABSENT)
             if chunk is _ABSENT:
                 chunk = None
             elif type(chunk) is not str:
-                return None
-            key = (index, surface, lemma, pos, ner, chunk)
+                raise _refused(
+                    raw_tok, "chunk", line, f"sentences[{i}].tokens[{j}].", optional=True
+                )
+            if not surface:
+                ok = False
+            key = (j, surface, lemma, pos, ner, chunk)
             token = token_of.get(key)
             if token is None:
-                token = token_of[key] = Token(index, surface, lemma, pos, ner, chunk)
+                token = token_of[key] = Token(j, surface, lemma, pos, ner, chunk)
             tokens.append(token)
-        n = len(tokens)
         heads: list = [None] * n
         edges: list[DepEdge] = []
-        for raw_edge in raw_edges:
+        for j, raw_edge in enumerate(raw_edges):
             if type(raw_edge) is not dict:
-                return None
+                raise SchemaError(f"line {line}: sentences[{i}].edges[{j}] must be an object")
             head = raw_edge.get("head")
+            if type(head) is not int:
+                raise _refused(raw_edge, "head", line, f"sentences[{i}].edges[{j}].")
             dep = raw_edge.get("dep")
+            if type(dep) is not int:
+                raise _refused(raw_edge, "dep", line, f"sentences[{i}].edges[{j}].")
             label = raw_edge.get("label")
-            if type(head) is not int or type(dep) is not int or type(label) is not str:
-                return None
-            if not 0 <= dep < n or heads[dep] is not None:
-                return None
-            heads[dep] = head
+            if type(label) is not str:
+                raise _refused(raw_edge, "label", line, f"sentences[{i}].edges[{j}].")
+            if 0 <= dep < n and heads[dep] is None:
+                heads[dep] = head
+            else:
+                ok = False
             key = (head, dep, label)
             edge = edge_of.get(key)
             if edge is None:
                 edge = edge_of[key] = DepEdge(head, dep, label)
             edges.append(edge)
-        # n edges on n distinct dependents: every token has exactly one head
-        if not _is_tree(heads):
-            return None
-        seen.add(sent_id)
-        sentences.append(Sentence(sent_id, tokens, edges))
-    return sentences
-
-
-def _checked_sentences(raw_sentences: list, line: int, doc_id: str) -> list[Sentence]:
-    """A record's sentences, raising the message for the first value it refuses."""
-    sentences: list[Sentence] = []
-    seen: set[str] = set()
-    for i, raw_sent in enumerate(raw_sentences):
-        path = f"sentences[{i}]."
-        if not isinstance(raw_sent, dict):
-            raise SchemaError(f"line {line}: sentences[{i}] must be an object")
-        sent_id = _require(raw_sent, "id", str, line, path)
-        raw_tokens = _require(raw_sent, "tokens", list, line, path)
-        raw_edges = _require(raw_sent, "edges", list, line, path)
-        tokens: list[Token] = []
-        for j, raw_tok in enumerate(raw_tokens):
-            tpath = f"{path}tokens[{j}]."
-            if not isinstance(raw_tok, dict):
-                raise SchemaError(f"line {line}: {path}tokens[{j}] must be an object")
-            tokens.append(
-                Token(
-                    index=j,
-                    surface=_require(raw_tok, "surface", str, line, tpath),
-                    lemma=_require(raw_tok, "lemma", str, line, tpath),
-                    pos=_require(raw_tok, "pos", str, line, tpath),
-                    generic_ner=_optional_str(raw_tok, "ner", line, tpath),
-                    chunk=_optional_str(raw_tok, "chunk", line, tpath),
+        sent = Sentence(sent_id, tokens, edges)
+        if not (ok and _is_tree(heads)):
+            problems = sentence_issues(sent)
+            if problems:
+                raise StructureError(
+                    f"line {line}: sentence {sent_id!r}: " + "; ".join(problems)
                 )
-            )
-        edges: list[DepEdge] = []
-        for j, raw_edge in enumerate(raw_edges):
-            epath = f"{path}edges[{j}]."
-            if not isinstance(raw_edge, dict):
-                raise SchemaError(f"line {line}: {path}edges[{j}] must be an object")
-            edges.append(
-                DepEdge(
-                    head=_require(raw_edge, "head", int, line, epath),
-                    dependent=_require(raw_edge, "dep", int, line, epath),
-                    label=_require(raw_edge, "label", str, line, epath),
-                )
-            )
-        sent = Sentence(id=sent_id, tokens=tuple(tokens), edges=tuple(edges))
-        problems = sentence_issues(sent)
-        if problems:
-            raise StructureError(
-                f"line {line}: sentence {sent_id!r}: " + "; ".join(problems)
-            )
         if sent_id in seen:
             raise SchemaError(
                 f"line {line}: duplicate sentence id {sent_id!r} in document {doc_id!r}"
@@ -763,21 +733,31 @@ def _checked_sentences(raw_sentences: list, line: int, doc_id: str) -> list[Sent
 
 
 def _doc_from_dict(obj, line: int, token_of: dict, edge_of: dict, sentence_ids) -> Document:
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise SchemaError(f"line {line}: document record must be an object")
-    doc_id = _require(obj, "id", str, line, "")
-    source = _optional_str(obj, "source", line, "")
-    collected_raw = _optional_str(obj, "collected_at", line, "")
-    collected = _parse_date(collected_raw, line) if collected_raw is not None else None
-    split = _optional_str(obj, "split", line, "") or "unassigned"
+    doc_id = obj.get("id")
+    if type(doc_id) is not str:
+        raise _refused(obj, "id", line)
+    source = obj.get("source")
+    if type(source) is not str and "source" in obj:
+        raise _refused(obj, "source", line, optional=True)
+    collected = obj.get("collected_at")
+    if type(collected) is not str and "collected_at" in obj:
+        raise _refused(obj, "collected_at", line, optional=True)
+    if collected is not None:
+        collected = _parse_date(collected, line)
+    split = obj.get("split")
+    if type(split) is not str and "split" in obj:
+        raise _refused(obj, "split", line, optional=True)
+    split = split or "unassigned"
     if split not in SPLITS:
         raise SchemaError(f"line {line}: unknown split {split!r}")
-    raw_sentences = _require(obj, "sentences", list, line, "")
+    raw_sentences = obj.get("sentences")
+    if type(raw_sentences) is not list:
+        raise _refused(obj, "sentences", line)
     if sentence_ids is not None:
         raw_sentences = [raw for raw in raw_sentences if raw["id"] in sentence_ids]
-    sentences = _fast_sentences(raw_sentences, token_of, edge_of)
-    if sentences is None:
-        sentences = _checked_sentences(raw_sentences, line, doc_id)
+    sentences = _read_sentences(raw_sentences, line, doc_id, token_of, edge_of)
     return Document(doc_id, sentences, source, collected, split)
 
 

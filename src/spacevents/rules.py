@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .documents import text_lines
 from .errors import RuleError
 from .schemas import ANCHOR_SLOTS, EVENT_TYPES
 
@@ -457,11 +458,16 @@ class _Parser:
 
 
 def parse_rules(source) -> list[Rule]:
-    """Parse a rule file (string or file-like) into validated Rule objects."""
+    """Parse a rule file (string, file-like or line iterable) into validated Rule objects.
+
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r``: a string is split
+    by ``text_lines``, and each element of a line iterable loses one line
+    ending, so errors name the same line however the file was read.
+    """
     if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str):
-        text = source
+        source = source.read()
+    if isinstance(source, str):
+        lines = text_lines(source)
     else:
-        text = "\n".join(source)
-    return _Parser(_lex(text)).parse_ruleset()
+        lines = [line.removesuffix("\n").removesuffix("\r") for line in source]
+    return _Parser(_lex("\n".join(lines))).parse_ruleset()

@@ -153,16 +153,17 @@ def test_criterion_04_indexed_scan_performance():
     index = build_index(docs)
 
     # a full collection walks the whole corpus; run it before each window,
-    # not inside the short indexed one
+    # not inside the short indexed one.  Both windows count this process's
+    # CPU time, so time the host gives to others does not count.
     gc.collect()
-    started = time.perf_counter()
+    started = time.process_time()
     indexed = extract_events(docs, rules, index=index)
-    indexed_time = time.perf_counter() - started
+    indexed_time = time.process_time() - started
 
     gc.collect()
-    started = time.perf_counter()
+    started = time.process_time()
     full = extract_events(docs, rules)
-    full_time = time.perf_counter() - started
+    full_time = time.process_time() - started
 
     assert indexed == full
     assert indexed_time < 10.0, f"indexed extraction took {indexed_time:.2f}s"

@@ -483,7 +483,10 @@ WRONG_TYPES = (True, 1.0, None, [], {}, "7", 7)
 ODD_NUMBERS = ("0", "01", " 1", "+1", "1_0", "١", "-1", "1-2", "1.1", "x", "", "1024", "99999")
 
 
-def _mutate_conllu(rng: random.Random, text: str) -> str:
+def _mutate_conllu(rng: random.Random, text: str, faults: int = 1) -> str:
+    """``text`` with ``faults`` faults, each anywhere in it."""
+    if faults > 1:
+        text = _mutate_conllu(rng, text, faults - 1)
     lines = text.split("\n")
     at = rng.randrange(len(lines) - 1)
     row = rng.choice([i for i, line in enumerate(lines) if line[:1].isdigit()])
@@ -523,17 +526,72 @@ def _mutate_conllu(rng: random.Random, text: str) -> str:
     return "\n".join(lines)
 
 
-def _mutate_jsonl(rng: random.Random, text: str) -> str:
+def _mutate_jsonl(rng: random.Random, text: str, faults: int = 1) -> str:
+    """``text`` with one fault, or with ``faults`` faults stacked in one record."""
     lines = text.split("\n")[:-1]
     at = rng.randrange(len(lines) - 1)
-    kind = rng.randrange(11)
-    if kind == 0:
-        del lines[at]
-        return "\n".join(lines)
-    if kind == 1:
-        lines[at], lines[at + 1] = lines[at + 1], lines[at]
-        return "\n".join(lines)
     record = json.loads(lines[at])
+    if faults > 1:
+        _stack_faults(rng, record, faults)
+    else:
+        kind = rng.randrange(11)
+        if kind == 0:
+            del lines[at]
+            return "\n".join(lines)
+        if kind == 1:
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+            return "\n".join(lines)
+        _break_record(rng, record, kind)
+    lines[at] = json.dumps(record, ensure_ascii=False)
+    return "\n".join(lines)
+
+
+# The checks the JSONL parser makes on a record, in order, each as (owner,
+# field, values it refuses): owner 0 is the record, 1 its last sentence,
+# 2 a token and 3 an edge of that sentence; GONE deletes the field.
+GONE = object()
+CHECKS = (
+    (0, "id", (GONE, 7)),
+    (0, "source", (None, 1)),
+    (0, "collected_at", (1, None)),
+    (0, "collected_at", ("2020-02-30", "nope")),
+    (0, "split", (7, None)),
+    (0, "split", ("nope", "Train")),
+    (0, "sentences", (GONE, {})),
+    (1, "id", (GONE, True)),
+    (1, "tokens", (GONE, "7")),
+    (1, "edges", (GONE, None)),
+    (2, "surface", (GONE, 7)),
+    (2, "lemma", (GONE, None)),
+    (2, "pos", (GONE, [])),
+    (2, "ner", (1, None)),
+    (2, "chunk", (None, 1.0)),
+    (3, "head", (GONE, True)),
+    (3, "dep", (GONE, "7")),
+    (3, "label", (GONE, 1.0)),
+    (2, "surface", ("",)),  # from here on, the sentence's structure
+    (3, "head", (-2, 10**20)),
+    (3, "dep", (-1, 10**20)),
+    (1, "id", ("s0",)),  # a repeated sentence id
+)
+
+
+def _stack_faults(rng: random.Random, record: dict, faults: int) -> None:
+    """Fail two neighbouring checks of ``CHECKS`` in the record, and any others after them."""
+    sent = record["sentences"][-1]
+    owners = (record, sent, rng.choice(sent["tokens"]), rng.choice(sent["edges"]))
+    at = rng.randrange(len(CHECKS) - 1)
+    stack = [CHECKS[at], CHECKS[at + 1]] + rng.sample(CHECKS, faults - 2)
+    rng.shuffle(stack)
+    for owner, key, values in stack:
+        value = rng.choice(values)
+        if value is GONE:
+            owners[owner].pop(key, None)
+        else:
+            owners[owner][key] = value
+
+
+def _break_record(rng: random.Random, record: dict, kind: int) -> None:
     sent = rng.choice(record["sentences"])
     tok = rng.choice(sent["tokens"])
     edge = rng.choice(sent["edges"])
@@ -563,8 +621,6 @@ def _mutate_jsonl(rng: random.Random, text: str) -> str:
                     lambda: items.insert(a, items.pop(b))))()
     else:
         record[rng.choice(("collected_at", "split"))] = rng.choice(("2020-02-30", "nope", "dev"))
-    lines[at] = json.dumps(record, ensure_ascii=False)
-    return "\n".join(lines)
 
 
 def test_parsers_share_equal_tokens_and_edges_only():
@@ -599,21 +655,28 @@ def _outcome(parse, source):
 def test_parsers_agree_with_their_reference_on_mutated_corpora(
     fmt, parse, reference, serialize, mutate
 ):
+    # the first 250 corpora hold one fault each; the rest stack two or three,
+    # which in JSONL all fall in one record, so the order of checks shows
     rng = random.Random(f"mutants/{fmt}")
-    accepted = refused = 0
-    for n in range(250):
-        docs = random_corpus(rng, 4, sentences_per_doc=(1, 3), entity_chance=0.2, dated=True)
-        text = mutate(rng, serialize(docs))
+    accepted = refused = stacked_refused = 0
+    for n in range(750):
+        faults = 1 if n < 250 else 2 + n % 2
+        docs = random_corpus(rng, 4, sentences_per_doc=(1, 3) if faults == 1 else (2, 3),
+                             entity_chance=0.2, dated=True)
+        text = mutate(rng, serialize(docs), faults)
         if n % 5 == 0:
             text = text.replace("\n", "\r\n")
         source = text.splitlines(keepends=True) if n % 7 == 0 else text
         expected = _outcome(reference, source)
         assert _outcome(parse, source) == expected, text
-        if isinstance(expected, list):
+        if faults > 1:
+            stacked_refused += not isinstance(expected, list)
+        elif isinstance(expected, list):
             accepted += 1
         else:
             refused += 1
     assert accepted >= 25 and refused >= 100
+    assert stacked_refused >= 400
 
 
 def test_parsers_pause_the_collector_and_restore_its_state():

@@ -157,6 +157,30 @@ def test_parse_accepts_file_like_and_iterables():
     assert parse_rules("# only comments\n") == []
 
 
+def _line_ending_copies(text):
+    crlf, cr = text.replace("\n", "\r\n"), text.replace("\n", "\r")
+    return [text, crlf, cr, text.splitlines(), text.splitlines(keepends=True),
+            crlf.splitlines(keepends=True), cr.splitlines(keepends=True)]
+
+
+def test_rule_lines_end_at_each_line_ending_however_the_file_is_read():
+    text = (resources.files("spacevents") / "data" / "reference.rules").read_text("utf-8")
+    expected = parse_rules(text)
+    assert len(expected) >= 10
+    for copy in _line_ending_copies(text):
+        assert parse_rules(copy) == expected
+    lines = text.split("\n")
+    row = next(i for i, line in enumerate(lines) if line.strip().startswith("tier:"))
+    broken = "\n".join(lines[:row] + ["  when: now"] + lines[row + 1:])
+    messages = set()
+    for copy in _line_ending_copies(broken):
+        with pytest.raises(RuleError, match="unknown clause 'when'") as caught:
+            parse_rules(copy)
+        messages.add(str(caught.value))
+    assert messages == {f"line {row + 1}, column 3: unknown clause 'when' in rule "
+                        f"{expected[0].name!r}"}
+
+
 def _wrap(trigger="[lemma=launch]", body="", event="LAUNCH", tier="backoff", name="r"):
     return (
         f"rule {name} {{\n  event: {event}\n  tier: {tier}\n"
