@@ -27,9 +27,11 @@ A JSONL record is read once, by ``_doc_from_dict`` and the one sentence
 reader it calls, ``_read_sentences``: each value's exact JSON type is
 checked in record order, and only the first value refused builds a
 message, through ``_refused``, raised where the value is found.  Within
-one parse call, equal tokens and equal edges share one (frozen) object,
-and the cyclic garbage collector is paused, since parsing creates no
-cycles.
+one parse call, equal tokens, equal edges and equal strings in them share
+one object each, through ``_sharing``, which builds a new (frozen) token
+or edge with ``object.__new__`` and its slot descriptors instead of the
+dataclass ``__init__``.  The cyclic garbage collector is paused, since
+parsing creates no cycles.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import gc
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from functools import cached_property, wraps
 from operator import attrgetter, lt
@@ -362,6 +364,55 @@ def _collector_paused(parse):
     return paused
 
 
+# A new token or edge is built without the frozen ``__init__``, which sets
+# each field through ``object.__setattr__``: ``object.__new__``, then each
+# slot's own member descriptor.  Unpacking fails on import if a field is added.
+_new = object.__new__
+_set_index, _set_surface, _set_lemma, _set_pos, _set_ner, _set_chunk = (
+    getattr(Token, f.name).__set__ for f in fields(Token)
+)
+_set_head, _set_dependent, _set_label = (getattr(DepEdge, f.name).__set__ for f in fields(DepEdge))
+
+
+def _sharing(token_fields=None) -> tuple:
+    """One parse call's ``(token_of, new_token, edge_of, new_edge)``.
+
+    ``token_of(key) or new_token(key)`` is the one token for ``key``, an
+    index and five strings (or None) that ``token_fields(key, share)`` turns
+    into the token's fields (without it, they are the key); ``edge_of(key)
+    or new_edge(key)`` is the one edge for ``(head, dependent, label)``.  A
+    new token or edge, and the key it is stored under, hold one ``str`` per
+    distinct value, so a lemma equal to its surface is that surface.
+    """
+    tokens: dict[tuple, Token] = {}
+    edges: dict[tuple, DepEdge] = {}
+    share = {}.setdefault
+
+    def new_token(key: tuple) -> Token:
+        index, a, b, c, d, e = key
+        key = (index, share(a, a), share(b, b), share(c, c), share(d, d), share(e, e))
+        index, surface, lemma, pos, ner, chunk = token_fields(key, share) if token_fields else key
+        token = tokens[key] = _new(Token)
+        _set_index(token, index)
+        _set_surface(token, surface)
+        _set_lemma(token, lemma)
+        _set_pos(token, pos)
+        _set_ner(token, ner)
+        _set_chunk(token, chunk)
+        return token
+
+    def new_edge(key: tuple) -> DepEdge:
+        head, dependent, label = key
+        label = share(label, label)
+        edge = edges[head, dependent, label] = _new(DepEdge)
+        _set_head(edge, head)
+        _set_dependent(edge, dependent)
+        _set_label(edge, label)
+        return edge
+
+    return tokens.get, new_token, edges.get, new_edge
+
+
 # ---------------------------------------------------------------------------
 # CoNLL-U
 
@@ -371,6 +422,20 @@ _TOKEN_LINE_START = frozenset("0123456789")
 # The plain spelling of each small number, so a well-formed token line's id
 # and head convert with one lookup; any other text takes the checked path.
 _DECIMAL = {str(i): i for i in range(1024)}
+
+
+def _conllu_token_fields(key: tuple, share) -> tuple:
+    """A token's field values from its key: index, FORM, LEMMA, UPOS, XPOS and MISC."""
+    index, form, lemma, upos, xpos, misc = key
+    ner = chunk = None
+    if misc and misc != "_":
+        for part in misc.split("|"):
+            k, _, v = part.partition("=")
+            if k == "Ner":
+                ner = share(v, v)
+            elif k == "Chunk":
+                chunk = share(v, v)
+    return index, form, lemma if lemma != "_" else form, upos if upos != "_" else xpos, ner, chunk
 
 
 def parse_conllu(source) -> list[Document]:
@@ -402,9 +467,7 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
     edges: list[DepEdge] = []
     heads: list[int] = []
     skip = False  # the current sentence is left out
-    # equal tokens and edges share one object each
-    token_of: dict[tuple, Token] = {}
-    edge_of: dict[tuple[int, int, str], DepEdge] = {}
+    token_of, new_token, edge_of, new_edge = _sharing(_conllu_token_fields)
     last_line = 0
 
     def close_sentence() -> None:
@@ -536,32 +599,11 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
             if head1 < 0:
                 raise ParseError(f"negative head {head1}", line=line_no)
         key = (index, form, lemma, upos, xpos, misc)
-        token = token_of.get(key)
-        if token is None:
-            ner = chunk = None
-            if misc and misc != "_":
-                for part in misc.split("|"):
-                    k, _, v = part.partition("=")
-                    if k == "Ner":
-                        ner = v
-                    elif k == "Chunk":
-                        chunk = v
-            token = token_of[key] = Token(
-                index,
-                form,
-                lemma if lemma != "_" else form,
-                upos if upos != "_" else xpos,
-                ner,
-                chunk,
-            )
-        tokens.append(token)
+        tokens.append(token_of(key) or new_token(key))
         head0 = head1 - 1  # CoNLL-U head 0 is the root, and ROOT == -1
         heads.append(head0)
         key = (head0, index, deprel)
-        edge = edge_of.get(key)
-        if edge is None:
-            edge = edge_of[key] = DepEdge(head0, index, deprel)
-        edges.append(edge)
+        edges.append(edge_of(key) or new_edge(key))
 
     sent_line = sent_line or last_line
     close_sentence()
@@ -632,7 +674,7 @@ def _refused(
 
 
 def _read_sentences(
-    raw_sentences: list, line: int, doc_id: str, token_of: dict, edge_of: dict
+    raw_sentences: list, line: int, doc_id: str, shared: tuple
 ) -> list[Sentence]:
     """A JSONL record's sentences, raising the message of the first value refused.
 
@@ -642,6 +684,7 @@ def _read_sentences(
     not refused on sight: they keep the sentence from the ``_is_tree``
     test, so ``sentence_issues`` explains it after its edges are read.
     """
+    token_of, new_token, edge_of, new_edge = shared
     sentences: list[Sentence] = []
     seen: set[str] = set()
     for i, raw_sent in enumerate(raw_sentences):
@@ -689,10 +732,7 @@ def _read_sentences(
             if not surface:
                 ok = False
             key = (j, surface, lemma, pos, ner, chunk)
-            token = token_of.get(key)
-            if token is None:
-                token = token_of[key] = Token(j, surface, lemma, pos, ner, chunk)
-            tokens.append(token)
+            tokens.append(token_of(key) or new_token(key))
         heads: list = [None] * n
         edges: list[DepEdge] = []
         for j, raw_edge in enumerate(raw_edges):
@@ -712,10 +752,7 @@ def _read_sentences(
             else:
                 ok = False
             key = (head, dep, label)
-            edge = edge_of.get(key)
-            if edge is None:
-                edge = edge_of[key] = DepEdge(head, dep, label)
-            edges.append(edge)
+            edges.append(edge_of(key) or new_edge(key))
         sent = Sentence(sent_id, tokens, edges)
         if not (ok and _is_tree(heads)):
             problems = sentence_issues(sent)
@@ -732,7 +769,7 @@ def _read_sentences(
     return sentences
 
 
-def _doc_from_dict(obj, line: int, token_of: dict, edge_of: dict, sentence_ids) -> Document:
+def _doc_from_dict(obj, line: int, shared: tuple, sentence_ids) -> Document:
     if type(obj) is not dict:
         raise SchemaError(f"line {line}: document record must be an object")
     doc_id = obj.get("id")
@@ -757,7 +794,7 @@ def _doc_from_dict(obj, line: int, token_of: dict, edge_of: dict, sentence_ids) 
         raise _refused(obj, "sentences", line)
     if sentence_ids is not None:
         raw_sentences = [raw for raw in raw_sentences if raw["id"] in sentence_ids]
-    sentences = _read_sentences(raw_sentences, line, doc_id, token_of, edge_of)
+    sentences = _read_sentences(raw_sentences, line, doc_id, shared)
     return Document(doc_id, sentences, source, collected, split)
 
 
@@ -775,9 +812,7 @@ def _parse_jsonl(source, sentence_ids) -> list[Document]:
     out is not checked: filter only text that parses in full.
     """
     docs: list[Document] = []
-    # equal tokens and edges share one object each
-    token_of: dict[tuple, Token] = {}
-    edge_of: dict[tuple[int, int, str], DepEdge] = {}
+    shared = _sharing()
     for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
@@ -786,7 +821,7 @@ def _parse_jsonl(source, sentence_ids) -> list[Document]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
-        docs.append(_doc_from_dict(obj, line_no, token_of, edge_of, sentence_ids))
+        docs.append(_doc_from_dict(obj, line_no, shared, sentence_ids))
     return docs
 
 

@@ -15,7 +15,7 @@ mention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .documents import Sentence, text_lines
@@ -60,11 +60,13 @@ def _is_acronym(form: str) -> bool:
     return len(form) <= ACRONYM_MAX_LEN and form.isupper()
 
 
-@dataclass
 class _TrieNode:
-    children: dict[str, "_TrieNode"] = field(default_factory=dict)
-    # (entity type, original tokens, case sensitive), in insertion order
-    entries: list[tuple[str, tuple[str, ...], bool]] = field(default_factory=list)
+    __slots__ = ("children", "entries")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _TrieNode] = {}
+        # (entity type, original tokens, case sensitive), in insertion order
+        self.entries: list[tuple[str, tuple[str, ...], bool]] = []
 
 
 class GazetteerMatcher:

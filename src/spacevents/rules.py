@@ -153,12 +153,11 @@ _PUNCT = set("{}[]()&|!=<>?,:")
 _WORD = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.'")
 
 
-@dataclass(frozen=True, slots=True)
 class _Tok:
-    kind: str  # "word", "string", "punct", "eof"
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")  # kind: "word", "string", "punct", "eof"
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind, self.value, self.line, self.col = kind, value, line, col
 
 
 def _lex(text: str) -> list[_Tok]:

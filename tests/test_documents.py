@@ -1,7 +1,9 @@
 import gc
 import json
+import pickle
 import random
-from dataclasses import replace
+import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date
 
 import pytest
@@ -626,15 +628,63 @@ def _break_record(rng: random.Random, record: dict, kind: int) -> None:
 def test_parsers_share_equal_tokens_and_edges_only():
     rows = [("Sat", "sat", "PROPN", -1, "root"), ("flew", "fly", "VERB", 0, "dep")]
     variants = [rows, rows, [rows[0] + ("SPACECRAFT",), rows[1]],
-                [rows[0] + (None, "B-NP"), rows[1]], [rows[0], rows[1][:4] + ("obj",)]]
+                [rows[0] + (None, "B-NP"), rows[1]], [rows[0], rows[1][:4] + ("obj",)],
+                [("sat", "sat", "VERB", -1, "root"), ("Sat", "sat", "PROPN", 0, "dep"),
+                 ("flew", "fly", "VERB", 0, "dep")]]
     docs = [Document("d", tuple(make_sentence(f"s{i}", r) for i, r in enumerate(variants)))]
-    for parsed in (parse_conllu(serialize_conllu(docs)),
-                   parse_jsonl_documents(serialize_jsonl_documents(docs))):
+    for parse, text in ((parse_conllu, serialize_conllu(docs)),
+                        (parse_jsonl_documents, serialize_jsonl_documents(docs))):
+        parsed = parse(text)
         assert parsed == docs
         s0, s1, *others = parsed[0].sentences
         assert s0.tokens[0] is s1.tokens[0] and s0.edges[1] is s1.edges[1]
         assert all(s.tokens[0] is not s0.tokens[0] for s in others[:2])
         assert others[2].edges[1] is not s0.edges[1]
+        # strings: new tokens and edges share equal values, at any position
+        sat, moved_sat, moved_flew = others[3].tokens
+        assert moved_sat is not s0.tokens[0] and moved_sat.surface is s0.tokens[0].surface
+        assert moved_flew is not s0.tokens[1] and moved_flew.surface is s0.tokens[1].surface
+        assert sat.lemma is sat.surface is s0.tokens[0].lemma
+        assert moved_sat.pos is s0.tokens[0].pos and sat.pos is moved_flew.pos is s0.tokens[1].pos
+        assert others[3].edges[2] is not s0.edges[1]
+        assert others[3].edges[2].label is s0.edges[1].label
+        # a second parse call shares nothing with the first
+        again = parse(text)
+        assert again == parsed
+        assert again[0].sentences[0].tokens[0] is not s0.tokens[0]
+        assert again[0].sentences[0].tokens[0].surface is not s0.tokens[0].surface
+
+
+def _round_trip(obj):
+    try:
+        return pickle.loads(pickle.dumps(obj))
+    except Exception as exc:  # before 3.11 a frozen slotted dataclass does not unpickle
+        return type(exc)
+
+
+def test_parsed_tokens_and_edges_match_ones_their_constructor_builds():
+    # the parsers build tokens and edges without __init__, so a post-init
+    # hook would be skipped, and a new field would be left unset
+    assert not hasattr(Token, "__post_init__") and not hasattr(DepEdge, "__post_init__")
+    checked = set()
+    for docs in (load_small_corpus(),
+                 random_corpus(random.Random("lean objects"), 20, entity_chance=0.3)):
+        for text, parse in ((serialize_conllu(docs), parse_conllu),
+                            (serialize_jsonl_documents(docs), parse_jsonl_documents)):
+            for sent in (sent for doc in parse(text) for sent in doc.sentences):
+                for obj in sent.tokens + sent.edges:
+                    names = [f.name for f in fields(obj)]
+                    values = [getattr(obj, name) for name in names]  # each slot is set
+                    built = type(obj)(*values)
+                    assert obj == built and hash(obj) == hash(built) and repr(obj) == repr(built)
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(obj, names[-1], values[-1])
+                    assert replace(obj) == obj
+                    assert _round_trip(obj) == _round_trip(built)
+                    assert sys.version_info < (3, 11) or _round_trip(obj) == obj
+                    checked.add((type(obj), values[-1] is None))
+    # tokens with and without a chunk, and edges
+    assert {(Token, True), (Token, False), (DepEdge, False)} <= checked
 
 
 def _outcome(parse, source):
