@@ -159,31 +159,32 @@ def sentence_issues(sentence: Sentence) -> list[str]:
         issues.append(f"expected exactly one root edge, found {root_count}")
     if issues:
         return issues
-    # With one head per token the head links form a functional graph; walk
-    # each chain once to rule out cycles.
-    state = [0] * n  # 0 unvisited, 1 on current chain, 2 known good
-    for start in range(n):
-        if state[start]:
-            continue
+    cycle = _cycle_token([heads[i] for i in range(n)])
+    if cycle is not None:
+        issues.append(f"dependency cycle through token {cycle}")
+    return issues
+
+
+def _cycle_token(heads: list[int]) -> int | None:
+    """The first token found on a cycle of head links, or None.
+
+    ``heads[i]`` is token ``i``'s head, ``ROOT`` or a token index.  Chains
+    are walked from token 0 up, each token once; None means every chain
+    reaches ``ROOT``.
+    """
+    state = bytearray(len(heads))  # 0 unvisited, 1 on the current chain, 2 reaches ROOT
+    for start in range(len(heads)):
         chain = []
         node = start
-        while True:
-            if state[node] == 1:
-                issues.append(f"dependency cycle through token {node}")
-                break
-            if state[node] == 2:
-                break
+        while node != ROOT and not state[node]:
             state[node] = 1
             chain.append(node)
-            head = heads[node]
-            if head == ROOT:
-                break
-            node = head
+            node = heads[node]
+        if node != ROOT and state[node] == 1:
+            return node
         for visited in chain:
             state[visited] = 2
-        if issues:
-            break
-    return issues
+    return None
 
 
 def _is_tree(heads: list[int]) -> bool:
@@ -199,21 +200,7 @@ def _is_tree(heads: list[int]) -> bool:
         return False
     if all(map(lt, heads, range(n))):
         return True  # every head precedes its dependent, so no chain can loop
-    if max(heads) >= n:
-        return False
-    reaches_root = bytearray(n)
-    for start in range(n):
-        node, steps = start, 0
-        while node != ROOT and not reaches_root[node]:
-            node = heads[node]
-            steps += 1
-            if steps > n:
-                return False  # the chain revisits a token: a cycle
-        node = start
-        while node != ROOT and not reaches_root[node]:
-            reaches_root[node] = 1
-            node = heads[node]
-    return True
+    return max(heads) < n and _cycle_token(heads) is None
 
 
 @dataclass(frozen=True)
@@ -286,14 +273,17 @@ def _lines(source) -> Iterable[str]:
     return (line[:-1] if line.endswith("\r") else line for line in lines)
 
 
-def text_lines(text: str) -> list[str]:
-    """The lines of a gazetteer or annotation text.
+def text_lines(source) -> list[str]:
+    """The lines of a rule, gazetteer or annotation text, or of a line iterable.
 
-    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, and nowhere else:
-    unlike ``str.splitlines``, characters such as U+2028 or U+0085 stay
-    inside a line, where JSON strings and names may hold them.
+    In a string a line ends at ``\n``, ``\r\n`` or a lone ``\r``, and
+    nowhere else: unlike ``str.splitlines``, characters such as U+2028 or
+    U+0085 stay inside a line, where JSON strings and names may hold them.
+    Each element of a line iterable loses one ``\n``, then one ``\r``.
     """
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if isinstance(source, str):
+        return source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [line.removesuffix("\n").removesuffix("\r") for line in source]
 
 
 _NEWDOC_KEY = re.compile(rb"^#([^=\n]*)=", re.MULTILINE)
@@ -793,7 +783,13 @@ def _doc_from_dict(obj, line: int, shared: tuple, sentence_ids) -> Document:
     if type(raw_sentences) is not list:
         raise _refused(obj, "sentences", line)
     if sentence_ids is not None:
-        raw_sentences = [raw for raw in raw_sentences if raw["id"] in sentence_ids]
+        # a forged index may point this parse at any JSON: what is not a
+        # sentence with a string id is left out, and the caller's count refuses it
+        raw_sentences = [
+            raw
+            for raw in raw_sentences
+            if type(raw) is dict and type(raw.get("id")) is str and raw["id"] in sentence_ids
+        ]
     sentences = _read_sentences(raw_sentences, line, doc_id, shared)
     return Document(doc_id, sentences, source, collected, split)
 

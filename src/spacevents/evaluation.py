@@ -194,9 +194,8 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     or a ``tokens`` list (needed for corpus statistics).
     Spans within one record must not overlap, nor end past that token count.
     """
-    lines = text_lines(source) if isinstance(source, str) else list(source)
     records: list[SentenceAnnotation] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue

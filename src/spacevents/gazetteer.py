@@ -121,10 +121,8 @@ def compile_gazetteer(entries: Iterable[GazetteerEntry]) -> GazetteerMatcher:
 
 def read_gazetteer(source) -> list[GazetteerEntry]:
     """Read the TSV gazetteer format: type, canonical, pipe-joined alternates."""
-    lines = text_lines(source) if isinstance(source, str) else list(source)
     entries: list[GazetteerEntry] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+    for line_no, line in enumerate(text_lines(source), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cols = line.split("\t")

@@ -47,11 +47,13 @@ import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .documents import Document, document_spans
 from .errors import InputError, SpaceventsError
-from .rules import Atom, Rule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .rules import Atom, Rule
 
 MAGIC = b"SEVIDX"
 VERSION = 2

@@ -22,10 +22,11 @@ contiguous token runs.  Inside a bracket, atoms test one field
 (``lemma=fail|failure``), combine with ``&``, alternate with ``|``, and
 negate with ``!``.  Every alternative must keep at least one positive
 ``surface`` or ``lemma`` atom so the trigger stays indexable.  ``Rule``
-checks this, its event type and tier, and the slot and tier rules below
-on construction; ``Atom`` checks its field and ``SlotPattern`` its path.
-Rules built in code are therefore validated like parsed ones, and the
-parser reports each such error at the line and column of the construct.
+checks this, its event type and tier, that its event type's schema names
+each slot, and the slot and tier rules below on construction; ``Atom``
+checks its field and ``SlotPattern`` its path.  Rules built in code are
+therefore validated like parsed ones, and the parser reports each such
+error at the line and column of the construct.
 
 Slot paths walk dependency edges from the trigger: ``>label`` follows an
 outgoing edge, ``<label`` the incoming one, labels alternate with ``|``,
@@ -36,11 +37,12 @@ entity fillers everywhere and must mark the event's anchor slot required.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .documents import text_lines
 from .errors import RuleError
-from .schemas import ANCHOR_SLOTS, EVENT_TYPES
+from .schemas import ANCHOR_SLOTS, EVENT_TYPES, SCHEMAS
 
 FIELDS = ("surface", "lemma", "pos", "ner")
 TIERS = ("high", "backoff")
@@ -130,6 +132,13 @@ class Rule:
             if slot.name in seen_slots:
                 raise RuleError(f"rule {self.name!r}: duplicate slot {slot.name!r}")
             seen_slots.add(slot.name)
+        names = SCHEMAS[self.event_type].slot_names()
+        for slot in self.slots:
+            if slot.name not in names:
+                raise RuleError(
+                    f"rule {self.name!r}: {self.event_type} has no slot {slot.name!r} "
+                    f"(expected one of {', '.join(names)})"
+                )
         if self.tier == "high":
             for slot in self.slots:
                 if slot.is_chunk:
@@ -149,8 +158,13 @@ class Rule:
 # ---------------------------------------------------------------------------
 # lexer
 
-_PUNCT = set("{}[]()&|!=<>?,:")
-_WORD = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.'")
+# One alternative per token kind; ``other`` takes any character no kind does.
+_TOKEN = re.compile(
+    r'(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<newline>\n)|"(?P<string>[^"\n]*)"'
+    # ':' joins words, keeping multi-part dependency labels like nmod:tmod whole
+    r"|(?P<word>[A-Za-z0-9_.'-]+(?::[A-Za-z0-9_.'-]+)*)"
+    r"|(?P<punct>[{}\[\]()&|!=<>?,:])|(?P<other>.)"
+)
 
 
 class _Tok:
@@ -162,61 +176,22 @@ class _Tok:
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, end = 1, 0, len(text)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_col = col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] not in '"\n':
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n or text[i] != '"':
-                raise RuleError("unterminated string literal", line=line, col=start_col)
-            i += 1
-            col += 1
-            toks.append(_Tok("string", "".join(buf), line, start_col))
-            continue
-        if ch in _WORD:
-            start_col = col
-            buf = []
-            while i < n:
-                c = text[i]
-                if c in _WORD:
-                    buf.append(c)
-                elif c == ":" and i + 1 < n and text[i + 1] in _WORD:
-                    # keep multi-part dependency labels like nmod:tmod whole
-                    buf.append(c)
-                else:
-                    break
-                i += 1
-                col += 1
-            toks.append(_Tok("word", "".join(buf), line, start_col))
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise RuleError(f"unexpected character {ch!r}", line=line, col=col)
-    toks.append(_Tok("eof", "", line, col))
+        col = m.start() - line_start + 1
+        if kind in ("word", "string", "punct"):
+            toks.append(_Tok(kind, m[kind], line, col))
+        elif kind == "other":
+            if m[0] == '"':
+                raise RuleError("unterminated string literal", line=line, col=col)
+            raise RuleError(f"unexpected character {m[0]!r}", line=line, col=col)
+        elif kind == "comment" and m.end() == len(text):
+            end = m.start()  # a text that ends in a comment ends at its '#'
+    toks.append(_Tok("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -224,12 +199,16 @@ def _lex(text: str) -> list[_Tok]:
 # parser
 
 
+def _at(tok: _Tok, message: str) -> RuleError:
+    return RuleError(message, line=tok.line, col=tok.col)
+
+
 def _build(tok: _Tok, cls, **fields):
     """Construct a rule-language object, reporting its own ``RuleError`` at ``tok``."""
     try:
         return cls(**fields)
     except RuleError as exc:
-        raise RuleError(str(exc), line=tok.line, col=tok.col) from None
+        raise _at(tok, str(exc)) from None
 
 
 class _Parser:
@@ -246,25 +225,41 @@ class _Parser:
             self._pos += 1
         return tok
 
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
+    def at_punct(self, ch: str, ahead: int = 0) -> bool:
+        tok = self.peek(ahead)
         return tok.kind == "punct" and tok.value == ch
 
-    def expect_punct(self, ch: str) -> _Tok:
+    def accept(self, ch: str) -> bool:
+        """Consume the punctuation ``ch`` if it comes next."""
+        tok = self._toks[self._pos]
+        if tok.kind == "punct" and tok.value == ch:
+            self._pos += 1
+            return True
+        return False
+
+    def expect_punct(self, ch: str) -> None:
         tok = self.advance()
         if tok.kind != "punct" or tok.value != ch:
-            raise RuleError(
-                f"expected {ch!r}, found {tok.value!r}", line=tok.line, col=tok.col
-            )
+            raise _at(tok, f"expected {ch!r}, found {tok.value!r}")
+
+    def expect_keyword(self, word: str) -> _Tok:
+        tok = self.advance()
+        if tok.kind != "word" or tok.value != word:
+            raise _at(tok, f"expected {word!r}, found {tok.value!r}")
         return tok
 
-    def expect_word(self, what: str = "identifier") -> _Tok:
+    def expect_word(self, what: str) -> _Tok:
         tok = self.advance()
         if tok.kind != "word":
-            raise RuleError(
-                f"expected {what}, found {tok.value!r}", line=tok.line, col=tok.col
-            )
+            raise _at(tok, f"expected {what}, found {tok.value!r}")
         return tok
+
+    def separated(self, sep: str, item) -> tuple:
+        """One or more ``item()`` results, separated by the punctuation ``sep``."""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return tuple(items)
 
     def parse_ruleset(self) -> list[Rule]:
         rules: list[Rule] = []
@@ -273,19 +268,13 @@ class _Parser:
             kw = self.peek()
             rule = self.parse_rule()
             if rule.name in seen:
-                raise RuleError(
-                    f"duplicate rule name {rule.name!r}", line=kw.line, col=kw.col
-                )
+                raise _at(kw, f"duplicate rule name {rule.name!r}")
             seen.add(rule.name)
             rules.append(rule)
         return rules
 
     def parse_rule(self) -> Rule:
-        kw = self.expect_word("'rule'")
-        if kw.value != "rule":
-            raise RuleError(
-                f"expected 'rule', found {kw.value!r}", line=kw.line, col=kw.col
-            )
+        kw = self.expect_keyword("rule")
         name = self.expect_word("rule name").value
         self.expect_punct("{")
         header: dict[str, object] = {}
@@ -296,17 +285,9 @@ class _Parser:
                 slots.append(self.parse_slot())
                 continue
             if clause.value not in ("event", "tier", "trigger"):
-                raise RuleError(
-                    f"unknown clause {clause.value!r} in rule {name!r}",
-                    line=clause.line,
-                    col=clause.col,
-                )
+                raise _at(clause, f"unknown clause {clause.value!r} in rule {name!r}")
             if clause.value in header:
-                raise RuleError(
-                    f"rule {name!r}: duplicate {clause.value} clause",
-                    line=clause.line,
-                    col=clause.col,
-                )
+                raise _at(clause, f"rule {name!r}: duplicate {clause.value} clause")
             self.expect_punct(":")
             if clause.value == "event":
                 header["event"] = self.expect_word("event type").value
@@ -317,11 +298,7 @@ class _Parser:
         self.expect_punct("}")
         for label in ("event", "tier", "trigger"):
             if label not in header:
-                raise RuleError(
-                    f"rule {name!r} is missing its {label} clause",
-                    line=kw.line,
-                    col=kw.col,
-                )
+                raise _at(kw, f"rule {name!r} is missing its {label} clause")
         return _build(
             kw,
             Rule,
@@ -334,38 +311,17 @@ class _Parser:
 
     def parse_trigger(self) -> tuple[TokenPattern, ...]:
         if not self.at_punct("["):
-            tok = self.peek()
-            raise RuleError(
-                "trigger needs at least one [token pattern]",
-                line=tok.line,
-                col=tok.col,
-            )
+            raise _at(self.peek(), "trigger needs at least one [token pattern]")
         patterns = []
         while self.at_punct("["):
-            patterns.append(self.parse_token_pattern())
+            self.advance()
+            branches = self.separated("|", lambda: self.separated("&", self.parse_atom))
+            self.expect_punct("]")
+            patterns.append(TokenPattern(branches=branches))
         return tuple(patterns)
 
-    def parse_token_pattern(self) -> TokenPattern:
-        self.expect_punct("[")
-        branches = [self.parse_conjunction()]
-        while self.at_punct("|"):
-            self.advance()
-            branches.append(self.parse_conjunction())
-        self.expect_punct("]")
-        return TokenPattern(branches=tuple(branches))
-
-    def parse_conjunction(self) -> tuple[Atom, ...]:
-        atoms = [self.parse_atom()]
-        while self.at_punct("&"):
-            self.advance()
-            atoms.append(self.parse_atom())
-        return tuple(atoms)
-
     def parse_atom(self) -> Atom:
-        negated = False
-        if self.at_punct("!"):
-            self.advance()
-            negated = True
+        negated = self.accept("!")
         field = self.expect_word("field name")
         self.expect_punct("=")
         values = [self.parse_literal()]
@@ -377,74 +333,38 @@ class _Parser:
         return _build(field, Atom, field=field.value, values=tuple(values), negated=negated)
 
     def _next_starts_atom(self) -> bool:
-        after = self.peek(1)
-        if after.kind == "punct" and after.value == "!":
-            return True
-        return after.kind == "word" and (
-            self.peek(2).kind == "punct" and self.peek(2).value == "="
-        )
+        return self.at_punct("!", 1) or (self.peek(1).kind == "word" and self.at_punct("=", 2))
 
     def parse_literal(self) -> str:
         tok = self.advance()
         if tok.kind not in ("word", "string"):
-            raise RuleError(
-                f"expected literal, found {tok.value!r}", line=tok.line, col=tok.col
-            )
+            raise _at(tok, f"expected literal, found {tok.value!r}")
         return tok.value
 
     def parse_slot(self) -> SlotPattern:
         name = self.expect_word("slot name")
         mode = self.expect_word("'required' or 'optional'")
         if mode.value not in ("required", "optional"):
-            raise RuleError(
-                f"slot {name.value!r} must be marked required or optional",
-                line=mode.line,
-                col=mode.col,
-            )
+            raise _at(mode, f"slot {name.value!r} must be marked required or optional")
         self.expect_punct("{")
-        kw = self.expect_word("'path'")
-        if kw.value != "path":
-            raise RuleError(
-                f"expected 'path', found {kw.value!r}", line=kw.line, col=kw.col
-            )
+        self.expect_keyword("path")
         self.expect_punct(":")
         steps: list[DepPathStep] = []
         while self.at_punct(">") or self.at_punct("<"):
             direction = "out" if self.advance().value == ">" else "in"
-            labels = [self.expect_word("dependency label").value]
-            while self.at_punct("|"):
-                self.advance()
-                labels.append(self.expect_word("dependency label").value)
-            optional = False
-            if self.at_punct("?"):
-                self.advance()
-                optional = True
-            steps.append(
-                DepPathStep(direction=direction, labels=tuple(labels), optional=optional)
-            )
-        kw = self.expect_word("'filler'")
-        if kw.value != "filler":
-            raise RuleError(
-                f"expected 'filler', found {kw.value!r}", line=kw.line, col=kw.col
-            )
+            labels = self.separated("|", lambda: self.expect_word("dependency label").value)
+            steps.append(DepPathStep(direction, labels, optional=self.accept("?")))
+        self.expect_keyword("filler")
         self.expect_punct(":")
         kind = self.expect_word("'entity' or 'chunk'")
         if kind.value == "chunk":
             entity_types: tuple[str, ...] | None = None
         elif kind.value == "entity":
             self.expect_punct("(")
-            types = [self.expect_word("entity type").value]
-            while self.at_punct(","):
-                self.advance()
-                types.append(self.expect_word("entity type").value)
+            entity_types = self.separated(",", lambda: self.expect_word("entity type").value)
             self.expect_punct(")")
-            entity_types = tuple(types)
         else:
-            raise RuleError(
-                f"filler must be entity(...) or chunk, found {kind.value!r}",
-                line=kind.line,
-                col=kind.col,
-            )
+            raise _at(kind, f"filler must be entity(...) or chunk, found {kind.value!r}")
         self.expect_punct("}")
         return _build(
             name,
@@ -459,14 +379,10 @@ class _Parser:
 def parse_rules(source) -> list[Rule]:
     """Parse a rule file (string, file-like or line iterable) into validated Rule objects.
 
-    A line ends at ``\n``, ``\r\n`` or a lone ``\r``: a string is split
-    by ``text_lines``, and each element of a line iterable loses one line
-    ending, so errors name the same line however the file was read.
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, as ``text_lines``
+    reads a string or a line iterable, so errors name the same line however
+    the file was read.
     """
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, str):
-        lines = text_lines(source)
-    else:
-        lines = [line.removesuffix("\n").removesuffix("\r") for line in source]
-    return _Parser(_lex("\n".join(lines))).parse_ruleset()
+    return _Parser(_lex("\n".join(text_lines(source)))).parse_ruleset()

@@ -135,7 +135,8 @@ def shortlist(
 ) -> list[CandidateSentence]:
     """Validated events grouped per (document, sentence, event type).
 
-    ``sample`` maps event types to retention fractions; sampling is
+    ``sample`` maps event types to retention fractions (an unknown event
+    type or a fraction outside (0, 1] is an ``InputError``); sampling is
     sentence-level, seeded, and retains round(n * fraction) groups per
     event type (kept groups stay in input order).  Groups that lose the
     draw are still returned, with ``sampled=False``.
@@ -145,6 +146,11 @@ def shortlist(
         if not 0.0 < fraction <= 1.0:
             raise InputError(
                 f"sample fraction for {event_type} must be in (0, 1], got {fraction}"
+            )
+        if event_type not in EVENT_TYPES:
+            raise InputError(
+                f"sample names unknown event type {event_type!r} "
+                f"(expected one of {', '.join(EVENT_TYPES)})"
             )
     groups: dict[tuple[str, str, str], list["EventMention"]] = {}
     for event in events:

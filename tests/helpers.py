@@ -37,6 +37,13 @@ from spacevents.schemas import SCHEMAS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+
+def line_ending_copies(text: str) -> list:
+    """``text`` as LF, CRLF and lone-CR strings and as line lists with and without endings."""
+    crlf, cr = text.replace("\n", "\r\n"), text.replace("\n", "\r")
+    return [text, crlf, cr, text.splitlines(), text.splitlines(keepends=True),
+            crlf.splitlines(keepends=True), cr.splitlines(keepends=True)]
+
 DEP_LABELS = (
     "nsubj", "dobj", "obj", "nmod", "obl", "compound",
     "det", "case", "amod", "punct", "advmod", "conj",

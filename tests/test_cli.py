@@ -267,6 +267,25 @@ def test_document_table_that_misplaces_a_document_is_an_input_error(tmp_path):
         assert err == f"error: {index_path}: document table does not match the corpus\n"
 
 
+def test_document_table_that_points_inside_a_token_is_an_input_error(tmp_path):
+    # a valid corpus may hold a document-shaped object in a token's extra field
+    text = serialize_jsonl_documents(load_small_corpus())
+    for embedded in ('{"id":"d1","sentences":[7]}', '{"id":"d1","sentences":[{"id":["s1"]}]}'):
+        corpus = tmp_path / "extra.jsonl"
+        corpus.write_text(text.replace('{"surface":', f'{{"x":{embedded},"surface":', 1),
+                          encoding="utf-8")
+        index_path = tmp_path / "extra.idx"
+        assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
+        index = load_index(index_path)
+        offset = corpus.read_bytes().index(embedded.encode())
+        (d1, _, _), *rest = index.corpus.documents
+        documents = ((d1, offset, len(embedded)), *rest)
+        save_index(replace(index, corpus=replace(index.corpus, documents=documents)), index_path)
+        code, out, err = run("extract", "--corpus", str(corpus), "--index", str(index_path))
+        assert (code, out) == (1, ""), err
+        assert err == f"error: {index_path}: sentence table does not match the corpus\n"
+
+
 def _corpus_copies(tmp_path, docs):
     conllu = serialize_conllu(docs)
     copies = {
@@ -650,6 +669,16 @@ def test_config_validation_exit_codes():
         assert "cannot read" not in err, err
 
 
+def test_sample_of_an_unknown_event_type_exits_1_without_records():
+    for command in ("shortlist", "export-annotation"):
+        code, out, err = run(command, "--corpus", CORPUS, "--sample", "LANCH=0.5")
+        assert (code, out) == (1, ""), command
+        assert err == (
+            "error: sample names unknown event type 'LANCH' "
+            "(expected one of LAUNCH, FAILURE, DECOMMISSIONING)\n"
+        )
+
+
 def test_unexpected_failures_exit_two(monkeypatch):
     import spacevents.matching as matching
 
@@ -687,16 +716,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("spacevent
 """
 
 
-def test_commands_import_only_the_modules_they_use():
+def test_commands_import_only_the_modules_they_use(tmp_path):
     src = str(Path(spacevents.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     unused = {
-        "extract": {"evaluation", "dedup"},
-        "dedup": {"rules", "matching", "index", "gazetteer", "evaluation"},
+        ("extract",): {"evaluation", "dedup"},
+        ("dedup",): {"rules", "matching", "index", "gazetteer", "evaluation"},
+        ("index", "--index", str(tmp_path / "small.idx")): {
+            "rules", "schemas", "matching", "gazetteer", "evaluation", "dedup"
+        },
     }
-    for command, modules in unused.items():
+    for (command, *flags), modules in unused.items():
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, command, "--corpus", CORPUS],
+            [sys.executable, "-c", IMPORT_PROBE, command, "--corpus", CORPUS, *flags],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

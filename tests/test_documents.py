@@ -27,6 +27,7 @@ from spacevents.documents import (
     document_spans,
     document_to_dict,
     sentence_issues,
+    text_lines,
 )
 from spacevents.errors import ParseError, SchemaError, StructureError
 
@@ -158,6 +159,14 @@ def _with_surface(doc, position, surface):
     tokens[position] = Token(tok.index, surface, tok.lemma, tok.pos, tok.generic_ner, tok.chunk)
     sentences = (Sentence(sent.id, tuple(tokens), sent.edges),) + doc.sentences[1:]
     return Document(doc.id, sentences, doc.source, doc.collected_at, doc.split)
+
+
+def test_text_lines_of_a_string_and_of_a_line_iterable():
+    assert text_lines("a\r\nb\rc\n" + LINE_BREAK_LOOKALIKES) == ["a", "b", "c", LINE_BREAK_LOOKALIKES]
+    listed = ["a\r\n", "b\r", "c\n", "d", "e\r\r\n", "f\n\n", "\r\ng", ""]
+    # each listed line loses one "\n", then one "\r", and nothing else
+    assert text_lines(listed) == ["a", "b", "c", "d", "e\r", "f\n", "\r\ng", ""]
+    assert text_lines(iter(listed)) == text_lines(listed)
 
 
 def test_unicode_line_breaks_inside_tokens_round_trip():

@@ -21,6 +21,8 @@ from spacevents import (
 from spacevents.evaluation import GENERIC_SLOTS, ErrorBuckets
 from spacevents.errors import InputError, SchemaError
 
+from helpers import FIXTURES, line_ending_copies
+
 
 def _ann(sentence_id, event_type, spans, split=None, n_tokens=None):
     return SentenceAnnotation(
@@ -277,6 +279,23 @@ def test_read_annotations_splits_lines_only_at_line_endings():
         assert read_annotations(ending.join(lines) + ending) == expected
     with pytest.raises(SchemaError, match="line 3: invalid JSON"):
         read_annotations("\r\n".join(lines + ["{"]))
+
+
+def test_annotation_lines_end_at_each_line_ending_however_the_file_is_read():
+    text = (FIXTURES / "annotation_stats.jsonl").read_text(encoding="utf-8")
+    expected = read_annotations(text)
+    assert len(expected) >= 5
+    for copy in line_ending_copies(text):
+        assert read_annotations(copy) == expected
+    lines = text.split("\n")
+    broken = "\n".join(lines[:2] + ["{"] + lines[3:])
+    messages = set()
+    for copy in line_ending_copies(broken):
+        with pytest.raises(SchemaError, match="invalid JSON") as caught:
+            read_annotations(copy)
+        messages.add(str(caught.value))
+    (message,) = messages
+    assert message.startswith("line 3: invalid JSON")
 
 
 def test_read_annotations_errors():

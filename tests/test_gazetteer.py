@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from spacevents import (
@@ -13,7 +15,7 @@ from spacevents import (
 )
 from spacevents.errors import InputError, ParseError
 
-from helpers import load_small_corpus, make_sentence
+from helpers import line_ending_copies, load_small_corpus, make_sentence
 
 
 def _flat(words, ner=None):
@@ -59,6 +61,23 @@ def test_read_gazetteer_splits_lines_only_at_line_endings():
         assert read_gazetteer(ending.join(rows) + ending) == expected
     with pytest.raises(ParseError, match="line 3.*columns"):
         read_gazetteer("\r".join(rows + ["SPACECRAFT"]))
+
+
+def test_gazetteer_lines_end_at_each_line_ending_however_the_file_is_read():
+    text = (resources.files("spacevents") / "data" / "gazetteer.tsv").read_text("utf-8")
+    expected = read_gazetteer(text)
+    assert len(expected) >= 10
+    for copy in line_ending_copies(text):
+        assert read_gazetteer(copy) == expected
+    lines = text.split("\n")
+    row = next(i for i, line in enumerate(lines) if line.startswith("SPACECRAFT\t"))
+    broken = "\n".join(lines[:row] + ["SPACECRAFT"] + lines[row + 1:])
+    messages = set()
+    for copy in line_ending_copies(broken):
+        with pytest.raises(ParseError, match="columns") as caught:
+            read_gazetteer(copy)
+        messages.add(str(caught.value))
+    assert messages == {f"line {row + 1}: expected 2 or 3 tab-separated columns, got 1"}
 
 
 def test_read_gazetteer_errors_carry_line_numbers():

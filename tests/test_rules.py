@@ -14,6 +14,8 @@ from spacevents import (
 from spacevents.errors import RuleError
 from spacevents.rules import FIELDS, TIERS
 
+from helpers import line_ending_copies
+
 FULL_RULE = """
 # an active-voice launch pattern
 rule launch-active {
@@ -157,23 +159,17 @@ def test_parse_accepts_file_like_and_iterables():
     assert parse_rules("# only comments\n") == []
 
 
-def _line_ending_copies(text):
-    crlf, cr = text.replace("\n", "\r\n"), text.replace("\n", "\r")
-    return [text, crlf, cr, text.splitlines(), text.splitlines(keepends=True),
-            crlf.splitlines(keepends=True), cr.splitlines(keepends=True)]
-
-
 def test_rule_lines_end_at_each_line_ending_however_the_file_is_read():
     text = (resources.files("spacevents") / "data" / "reference.rules").read_text("utf-8")
     expected = parse_rules(text)
     assert len(expected) >= 10
-    for copy in _line_ending_copies(text):
+    for copy in line_ending_copies(text):
         assert parse_rules(copy) == expected
     lines = text.split("\n")
     row = next(i for i, line in enumerate(lines) if line.strip().startswith("tier:"))
     broken = "\n".join(lines[:row] + ["  when: now"] + lines[row + 1:])
     messages = set()
-    for copy in _line_ending_copies(broken):
+    for copy in line_ending_copies(broken):
         with pytest.raises(RuleError, match="unknown clause 'when'") as caught:
             parse_rules(copy)
         messages.add(str(caught.value))
@@ -193,6 +189,15 @@ def test_lexer_errors():
         parse_rules(_wrap(trigger='[surface="abc]'))
     with pytest.raises(RuleError, match="unexpected character '@'"):
         parse_rules("rule r @ {}")
+    # a text that ends in a comment ends at the comment's '#'
+    for text, where in (
+        ("rule r { # unfinished", "line 1, column 10"),
+        ("rule r {\r\n#", "line 2, column 1"),
+        (["rule r {", "  # c\r\n"], "line 2, column 3"),
+    ):
+        with pytest.raises(RuleError) as caught:
+            parse_rules(text)
+        assert str(caught.value) == f"{where}: expected clause, found ''"
 
 
 def test_structure_errors():
@@ -262,6 +267,28 @@ def test_rules_built_in_code_are_checked_on_construction():
         build(TokenPattern(branches=((Atom("word", ("launch",)),),)))
     with pytest.raises(RuleError, match="slot 'A' needs at least one path step"):
         SlotPattern(name="A", path=(), entity_types=None, required=False)
+
+
+def test_slots_outside_the_event_schema_are_refused():
+    launch = TokenPattern(branches=((Atom("lemma", ("launch",)),),))
+    payload = SlotPattern("Payload", (DepPathStep("out", ("dobj",)),), None, False)
+    message = (
+        "rule 'r': LAUNCH has no slot 'Payload' (expected one of SatelliteName, "
+        "LaunchVehicle, LaunchSite, TargetOrbit, Organization, Date)"
+    )
+    with pytest.raises(RuleError) as caught:
+        Rule(name="r", event_type="LAUNCH", tier="backoff", trigger=(launch,), slots=(payload,))
+    assert str(caught.value) == message
+    body = "  slot Payload optional {\n    path: >dobj\n    filler: chunk\n  }\n"
+    with pytest.raises(RuleError) as caught:
+        parse_rules("\n" + _wrap(body=body))
+    assert str(caught.value) == f"line 2, column 1: {message}"
+    # a slot of another event type's schema is refused too
+    with pytest.raises(RuleError, match="DECOMMISSIONING has no slot 'LaunchVehicle'"):
+        parse_rules(_wrap(event="DECOMMISSIONING", body=body.replace("Payload", "LaunchVehicle")))
+    # a duplicate slot is still reported first
+    with pytest.raises(RuleError, match="duplicate slot 'Payload'"):
+        parse_rules(_wrap(body=body + body))
 
 
 def test_rule_level_parse_errors_carry_the_rule_position():

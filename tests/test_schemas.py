@@ -187,6 +187,10 @@ def test_shortlist_rejects_bad_fraction_and_unknown_type():
             shortlist(events, sample={"LAUNCH": bad})
     with pytest.raises(SchemaError, match="unknown event type"):
         shortlist([_event("IMPACT", _fill("SatelliteName"))])
+    for sample in ({"LANCH": 0.5}, {"LAUNCH": 0.5, "launch": 1.0}):
+        for given in (events, []):
+            with pytest.raises(InputError, match="sample names unknown event type"):
+                shortlist(given, sample=sample)
 
 
 def test_shortlist_keeps_input_order():
