@@ -299,10 +299,11 @@ def _cmd_extract(args, out, err) -> int:
 
 def _cmd_shortlist(args, out, err) -> int:
     from .matching import event_to_dict
-    from .schemas import shortlist
+    from .schemas import sample_fractions, shortlist
 
+    sample = sample_fractions(dict(args.sample))  # checked before any file is read
     _, events = _extract(args)
-    candidates = shortlist(events, sample=dict(args.sample), seed=args.seed)
+    candidates = shortlist(events, sample=sample, seed=args.seed)
     for cand in candidates:
         _emit(
             out,
@@ -320,10 +321,11 @@ def _cmd_shortlist(args, out, err) -> int:
 
 
 def _cmd_export_annotation(args, out, err) -> int:
-    from .schemas import ANNOTATION_HEADER, annotation_task_records, shortlist
+    from .schemas import ANNOTATION_HEADER, annotation_task_records, sample_fractions, shortlist
 
+    sample = sample_fractions(dict(args.sample))  # checked before any file is read
     docs, events = _extract(args)
-    candidates = shortlist(events, sample=dict(args.sample), seed=args.seed)
+    candidates = shortlist(events, sample=sample, seed=args.seed)
     _emit(out, ANNOTATION_HEADER)
     records = annotation_task_records(candidates, docs)
     for record in records:
@@ -332,11 +334,15 @@ def _cmd_export_annotation(args, out, err) -> int:
     return 0
 
 
-def _write_json(args, payload: dict) -> None:
-    if getattr(args, "json", None):
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+def _write_report(args, out, table: str, payload: dict) -> None:
+    out.write(table + "\n")
+    if args.json:
+        try:
+            Path(args.json).write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise InputError(f"cannot write {args.json}: {exc.strerror or exc}")
 
 
 def _cmd_score(args, out, err) -> int:
@@ -345,24 +351,15 @@ def _cmd_score(args, out, err) -> int:
     gold = read_annotations(_read_text(args.gold))
     pred = read_annotations(_read_text(args.pred))
     report = score_slots(gold, pred)
-    out.write(report.format_table() + "\n")
-    _write_json(args, report.to_dict())
+    _write_report(args, out, report.format_table(), report.to_dict())
     return 0
 
 
 def _cmd_stats(args, out, err) -> int:
-    from .evaluation import corpus_stats, read_annotations
+    from .evaluation import corpus_stats, format_stats, read_annotations
 
     rows = corpus_stats(read_annotations(_read_text(args.annotations)))
-    header = f"{'Event':<18} {'Split':<12} {'Sentences':>10} {'Tagged':>10} {'Tokens':>10}"
-    out.write(header + "\n")
-    out.write("-" * len(header) + "\n")
-    for row in rows:
-        out.write(
-            f"{row.event_type.title():<18} {row.split:<12} "
-            f"{row.sentences:>10} {row.tagged_tokens:>10} {row.total_tokens:>10}\n"
-        )
-    _write_json(args, {"rows": [asdict(row) for row in rows]})
+    _write_report(args, out, format_stats(rows), {"rows": [asdict(row) for row in rows]})
     return 0
 
 
@@ -372,14 +369,8 @@ def _cmd_errors(args, out, err) -> int:
     gold = read_annotations(_read_text(args.gold))
     pred = read_annotations(_read_text(args.pred))
     buckets = classify_errors(gold, pred)
-    proportions = buckets.proportions()
-    out.write(f"{'Bucket':<16} {'Count':>6} {'Share':>6}\n")
-    out.write("-" * 30 + "\n")
-    out.write(f"{'exact':<16} {buckets.exact:>6} {'':>6}\n")
-    for name in ("span_error", "label_confusion", "spurious", "missed"):
-        count = getattr(buckets, name)
-        out.write(f"{name:<16} {count:>6} {int(proportions[name] * 100 + 0.5):>5}%\n")
-    _write_json(args, {**asdict(buckets), "proportions": proportions})
+    payload = {**asdict(buckets), "proportions": buckets.proportions()}
+    _write_report(args, out, buckets.format_table(), payload)
     return 0
 
 

@@ -227,12 +227,10 @@ def assign_splits(
             collected = doc.collected_at.isoformat()
         return (collected, doc_id)
 
-    members: dict[str, list[str]] = defaultdict(list)
-    for doc_id, pool_id in assignment.pool_of.items():
-        members[pool_id].append(doc_id)
+    members = assignment.pools()
     ordered = sorted(members, key=lambda p: max(doc_key(d) for d in members[p]))
 
-    total = sum(len(m) for m in members.values())
+    total = len(assignment.pool_of)
     target = math.floor(total * unseen_fraction + 0.5)
     split_of: dict[str, str] = {}
     held_out: list[str] = []

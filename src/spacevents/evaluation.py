@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .documents import SPLITS, text_lines
@@ -273,6 +273,18 @@ def read_annotations(source) -> list[SentenceAnnotation]:
 # scoring
 
 
+def _pct(value: float) -> int:
+    """A fraction as a whole percentage, rounded half up."""
+    return int(value * 100 + 0.5)
+
+
+def _rank(value: str, known: Sequence[str]) -> tuple[int, str]:
+    """Table order: ``known`` values in their order, then other values by name."""
+    if value in known:
+        return (known.index(value), "")
+    return (len(known), value)
+
+
 @dataclass(frozen=True)
 class SlotScore:
     event_type: str
@@ -305,39 +317,20 @@ class EvalReport:
     micro: tuple[SlotScore, ...]
 
     def to_dict(self) -> dict:
-        def row(score: SlotScore) -> dict:
-            return {
-                "event_type": score.event_type,
-                "slot": score.slot,
-                "tp": score.tp,
-                "fp": score.fp,
-                "fn": score.fn,
-                "n_gold": score.n_gold,
-                "precision": score.precision,
-                "recall": score.recall,
-                "f1": score.f1,
-            }
+        def row(s: SlotScore) -> dict:
+            derived = {"n_gold": s.n_gold, "precision": s.precision, "recall": s.recall, "f1": s.f1}
+            return {**asdict(s), **derived}
 
         return {"rows": [row(s) for s in self.rows], "micro": [row(s) for s in self.micro]}
 
     def format_table(self) -> str:
         header = f"{'Event':<18} {'Slot':<16} {'Pr':>4} {'Re':>4} {'F1':>4} {'N':>6}"
         lines = [header, "-" * len(header)]
-
-        def pct(value: float) -> int:
-            return int(value * 100 + 0.5)
-
-        for score in self.rows:
+        named = [(s.event_type.title(), s) for s in self.rows]
+        for event, s in named + [("Generic (micro)", s) for s in self.micro]:
             lines.append(
-                f"{score.event_type.title():<18} {score.slot:<16} "
-                f"{pct(score.precision):>4} {pct(score.recall):>4} "
-                f"{pct(score.f1):>4} {score.n_gold:>6}"
-            )
-        for score in self.micro:
-            lines.append(
-                f"{'Generic (micro)':<18} {score.slot:<16} "
-                f"{pct(score.precision):>4} {pct(score.recall):>4} "
-                f"{pct(score.f1):>4} {score.n_gold:>6}"
+                f"{event:<18} {s.slot:<16} {_pct(s.precision):>4} {_pct(s.recall):>4} "
+                f"{_pct(s.f1):>4} {s.n_gold:>6}"
             )
         return "\n".join(lines)
 
@@ -353,38 +346,40 @@ def _span_sets(
     return out
 
 
-def _check_universe(gold, pred) -> None:
-    for event_type in sorted(set(gold) | set(pred)):
-        gold_ids = set(gold.get(event_type, ()))
-        pred_ids = set(pred.get(event_type, ()))
-        if gold_ids != pred_ids:
-            missing_pred = sorted(gold_ids - pred_ids)
-            missing_gold = sorted(pred_ids - gold_ids)
-            parts = [f"sentence sets differ for {event_type}"]
-            if missing_pred:
-                parts.append(f"missing from pred: {', '.join(map(_spell, missing_pred))}")
-            if missing_gold:
-                parts.append(f"missing from gold: {', '.join(map(_spell, missing_gold))}")
-            raise InputError("; ".join(parts))
+def _aligned(gold: Sequence[SentenceAnnotation], pred: Sequence[SentenceAnnotation]):
+    """(event type, sentence key, gold spans, pred spans) per sentence, sorted.
+
+    Every sentence either side names is yielded; a side that does not name
+    it gives None for its spans.
+    """
+    sides = (_span_sets(gold), _span_sets(pred))
+    keys = {(event_type, key) for side in sides for event_type in side for key in side[event_type]}
+    for event_type, key in sorted(keys):
+        yield (event_type, key, *(side.get(event_type, {}).get(key) for side in sides))
 
 
 def _tally(
     gold: Sequence[SentenceAnnotation], pred: Sequence[SentenceAnnotation]
 ) -> dict[tuple[str, str], list[int]]:
     """(event type, label) -> [tp, fp, fn], spans deduplicated per sentence."""
-    gold_sets = _span_sets(gold)
-    pred_sets = _span_sets(pred)
-    _check_universe(gold_sets, pred_sets)
     counts: dict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0, 0])
-    for event_type, by_sentence in gold_sets.items():
-        for key, gold_spans in by_sentence.items():
-            pred_spans = pred_sets[event_type][key]
-            for start, end, label in gold_spans & pred_spans:
-                counts[(event_type, label)][0] += 1
-            for start, end, label in pred_spans - gold_spans:
-                counts[(event_type, label)][1] += 1
-            for start, end, label in gold_spans - pred_spans:
-                counts[(event_type, label)][2] += 1
+    missing: dict[str, tuple[list, list]] = {}  # event type -> (from pred, from gold)
+    for event_type, key, gold_spans, pred_spans in _aligned(gold, pred):
+        if gold_spans is None or pred_spans is None:
+            missing.setdefault(event_type, ([], []))[gold_spans is None].append(key)
+            continue
+        for i, spans in enumerate(
+            (gold_spans & pred_spans, pred_spans - gold_spans, gold_spans - pred_spans)
+        ):
+            for _, _, label in spans:
+                counts[(event_type, label)][i] += 1
+    if missing:
+        event_type = min(missing)
+        parts = [f"sentence sets differ for {event_type}"]
+        for side, keys in zip(("pred", "gold"), missing[event_type]):
+            if keys:
+                parts.append(f"missing from {side}: {', '.join(map(_spell, keys))}")
+        raise InputError("; ".join(parts))
     return counts
 
 
@@ -395,29 +390,17 @@ def score_slots(
     """Exact-match span scores per (event type, slot), plus the generic micro rows.
 
     Gold and pred must cover the same sentences per event type; supply
-    empty span lists for sentences without predictions.
+    empty span lists for sentences without predictions.  Rows follow the
+    schemas' event and slot order, with unknown values after, by name.
     """
     counts = _tally(gold, pred)
 
-    def slot_order(event_type: str, label: str) -> tuple[int, str]:
-        names = SCHEMAS[event_type].slot_names() if event_type in SCHEMAS else ()
-        if label in names:
-            return (names.index(label), "")
-        return (len(names), label)
+    def order(key: tuple[str, str]) -> tuple:
+        event_type, label = key
+        slots = SCHEMAS[event_type].slot_names() if event_type in SCHEMAS else ()
+        return (_rank(event_type, list(SCHEMAS)), _rank(label, slots))
 
-    def event_order(event_type: str) -> tuple[int, str]:
-        known = list(SCHEMAS)
-        if event_type in known:
-            return (known.index(event_type), "")
-        return (len(known), event_type)
-
-    keys = sorted(
-        counts, key=lambda k: (event_order(k[0]), slot_order(k[0], k[1]))
-    )
-    rows = tuple(
-        SlotScore(event_type, label, *counts[(event_type, label)])
-        for event_type, label in keys
-    )
+    rows = tuple(SlotScore(*key, *counts[key]) for key in sorted(counts, key=order))
     micro = tuple(_pooled_scores(counts, GENERIC_SLOTS).values())
     return EvalReport(rows=rows, micro=micro)
 
@@ -428,10 +411,8 @@ def _pooled_scores(
     """TP/FP/FN summed over every event type, for each of ``slots``."""
     out: dict[str, SlotScore] = {}
     for slot in slots:
-        tp = sum(c[0] for (et, lb), c in counts.items() if lb == slot)
-        fp = sum(c[1] for (et, lb), c in counts.items() if lb == slot)
-        fn = sum(c[2] for (et, lb), c in counts.items() if lb == slot)
-        out[slot] = SlotScore("ALL", slot, tp, fp, fn)
+        pooled = [c for (_, label), c in counts.items() if label == slot]
+        out[slot] = SlotScore("ALL", slot, *(sum(c[i] for c in pooled) for i in range(3)))
     return out
 
 
@@ -457,15 +438,13 @@ class StatsRow:
     total_tokens: int
 
 
-_SPLIT_ORDER = {name: i for i, name in enumerate(SPLITS)}
-
-
 def corpus_stats(annotations: Sequence[SentenceAnnotation]) -> list[StatsRow]:
     """Sentences, tagged tokens, and total tokens per (event type, split).
 
     Records for the same sentence and event type count once, with the
     union of their spans, as in scoring; they must agree on the split and
-    the token count.
+    the token count.  Rows are ordered by event type, then by split in
+    ``SPLITS`` order, with unknown splits after, by name.
     """
     merged: dict[tuple[str, tuple[str, str]], tuple[str, int]] = {}
     for record in annotations:
@@ -480,30 +459,33 @@ def corpus_stats(annotations: Sequence[SentenceAnnotation]) -> list[StatsRow]:
                 f"{record.event_type} disagree on the split or the token count"
             )
     spans = _span_sets(annotations)
-    sentences: Counter[tuple[str, str]] = Counter()
-    tagged: Counter[tuple[str, str]] = Counter()
-    total: Counter[tuple[str, str]] = Counter()
+    totals: dict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0, 0])
     for (event_type, sentence), (split, n_tokens) in merged.items():
-        key = (event_type, split)
-        sentences[key] += 1
-        tagged[key] += sum(end - start for start, end, _ in spans[event_type][sentence])
-        total[key] += n_tokens
-    rows = [
-        StatsRow(
-            event_type=event_type,
-            split=split,
-            sentences=count,
-            tagged_tokens=tagged[(event_type, split)],
-            total_tokens=total[(event_type, split)],
+        row = totals[(event_type, split)]  # sentences, tagged tokens, total tokens
+        row[0] += 1
+        row[1] += sum(end - start for start, end, _ in spans[event_type][sentence])
+        row[2] += n_tokens
+    rows = [StatsRow(event_type, split, *row) for (event_type, split), row in totals.items()]
+    return sorted(rows, key=lambda r: (r.event_type, _rank(r.split, SPLITS)))
+
+
+def format_stats(rows: Sequence[StatsRow]) -> str:
+    """The ``stats`` table of ``corpus_stats`` rows."""
+    header = f"{'Event':<18} {'Split':<12} {'Sentences':>10} {'Tagged':>10} {'Tokens':>10}"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append(
+            f"{r.event_type.title():<18} {r.split:<12} "
+            f"{r.sentences:>10} {r.tagged_tokens:>10} {r.total_tokens:>10}"
         )
-        for (event_type, split), count in sentences.items()
-    ]
-    rows.sort(key=lambda r: (r.event_type, _SPLIT_ORDER.get(r.split, 99), r.split))
-    return rows
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # error buckets
+
+# the buckets a disagreement can land in, as named in ErrorBuckets
+ERROR_KINDS = ("span_error", "label_confusion", "spurious", "missed")
 
 
 @dataclass(frozen=True)
@@ -516,18 +498,22 @@ class ErrorBuckets:
 
     @property
     def total_errors(self) -> int:
-        return self.span_error + self.label_confusion + self.spurious + self.missed
+        return sum(getattr(self, kind) for kind in ERROR_KINDS)
 
     def proportions(self) -> dict[str, float]:
         total = self.total_errors
-        if total == 0:
-            return {"span_error": 0.0, "label_confusion": 0.0, "spurious": 0.0, "missed": 0.0}
-        return {
-            "span_error": self.span_error / total,
-            "label_confusion": self.label_confusion / total,
-            "spurious": self.spurious / total,
-            "missed": self.missed / total,
-        }
+        return {kind: getattr(self, kind) / total if total else 0.0 for kind in ERROR_KINDS}
+
+    def format_table(self) -> str:
+        header = f"{'Bucket':<16} {'Count':>6} {'Share':>6}"
+        lines = [header, "-" * len(header), f"{'exact':<16} {self.exact:>6} {'':>6}"]
+        for kind, share in self.proportions().items():
+            lines.append(f"{kind:<16} {getattr(self, kind):>6} {_pct(share):>5}%")
+        return "\n".join(lines)
+
+
+def _overlap(a: tuple[int, int, str], b: tuple[int, int, str]) -> bool:
+    return a[0] < b[1] and b[0] < a[1]
 
 
 def classify_errors(
@@ -541,37 +527,16 @@ def classify_errors(
     overlap with only differently-labeled gold) is spurious.  Gold spans
     no prediction touches are missed.
     """
-    gold_sets = _span_sets(gold)
-    pred_sets = _span_sets(pred)
-    exact = span_error = label_confusion = spurious = missed = 0
-    all_keys = {
-        (event_type, key)
-        for sets in (gold_sets, pred_sets)
-        for event_type, by_sentence in sets.items()
-        for key in by_sentence
-    }
-    for event_type, key in sorted(all_keys):
-        g = gold_sets.get(event_type, {}).get(key, set())
-        p = pred_sets.get(event_type, {}).get(key, set())
-        exact += len(g & p)
-
-        def overlap(a: tuple[int, int, str], b: tuple[int, int, str]) -> bool:
-            return a[0] < b[1] and b[0] < a[1]
-
+    tally: Counter[str] = Counter()
+    for _, _, g, p in _aligned(gold, pred):
+        g, p = g or set(), p or set()
+        tally["exact"] += len(g & p)
         for span in p - g:
-            if any(t[2] == span[2] and overlap(span, t) for t in g):
-                span_error += 1
+            if any(t[2] == span[2] and _overlap(span, t) for t in g):
+                tally["span_error"] += 1
             elif any(t[:2] == span[:2] and t[2] != span[2] for t in g):
-                label_confusion += 1
+                tally["label_confusion"] += 1
             else:
-                spurious += 1
-        for span in g - p:
-            if not any(overlap(span, t) for t in p):
-                missed += 1
-    return ErrorBuckets(
-        exact=exact,
-        span_error=span_error,
-        label_confusion=label_confusion,
-        spurious=spurious,
-        missed=missed,
-    )
+                tally["spurious"] += 1
+        tally["missed"] += sum(not any(_overlap(span, t) for t in p) for span in g - p)
+    return ErrorBuckets(tally["exact"], *(tally[kind] for kind in ERROR_KINDS))

@@ -199,7 +199,10 @@ def save_index(index: InvertedIndex, path) -> None:
         for doc_id, offset, length in corpus.documents:
             chunks.append(_string(doc_id, "identifier"))
             chunks.append(struct.pack("<QQ", offset, length))
-    Path(path).write_bytes(b"".join(chunks))
+    try:
+        Path(path).write_bytes(b"".join(chunks))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 _TRUNCATED = "index file is truncated"

@@ -128,18 +128,10 @@ def _round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-def shortlist(
-    events: Iterable["EventMention"],
-    sample: Mapping[str, float] | None = None,
-    seed: int = 0,
-) -> list[CandidateSentence]:
-    """Validated events grouped per (document, sentence, event type).
+def sample_fractions(sample: Mapping[str, float] | None) -> dict[str, float]:
+    """``sample`` as a dict of retention fractions per event type.
 
-    ``sample`` maps event types to retention fractions (an unknown event
-    type or a fraction outside (0, 1] is an ``InputError``); sampling is
-    sentence-level, seeded, and retains round(n * fraction) groups per
-    event type (kept groups stay in input order).  Groups that lose the
-    draw are still returned, with ``sampled=False``.
+    An unknown event type or a fraction outside (0, 1] is an ``InputError``.
     """
     fractions = dict(sample) if sample else {}
     for event_type, fraction in fractions.items():
@@ -152,6 +144,23 @@ def shortlist(
                 f"sample names unknown event type {event_type!r} "
                 f"(expected one of {', '.join(EVENT_TYPES)})"
             )
+    return fractions
+
+
+def shortlist(
+    events: Iterable["EventMention"],
+    sample: Mapping[str, float] | None = None,
+    seed: int = 0,
+) -> list[CandidateSentence]:
+    """Validated events grouped per (document, sentence, event type).
+
+    ``sample`` maps event types to retention fractions, checked by
+    ``sample_fractions``; sampling is sentence-level, seeded, and retains
+    round(n * fraction) groups per event type (kept groups stay in input
+    order).  Groups that lose the draw are still returned, with
+    ``sampled=False``.
+    """
+    fractions = sample_fractions(sample)
     groups: dict[tuple[str, str, str], list["EventMention"]] = {}
     for event in events:
         if not validate_event(event):

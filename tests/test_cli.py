@@ -580,6 +580,158 @@ def test_errors_table(score_files):
     assert rows["spurious"] == ["0", "0%"]
 
 
+GOLDEN_SCORE_OUT = (
+    "Event              Slot               Pr   Re   F1      N\n"
+    "---------------------------------------------------------\n"
+    "Launch             SatelliteName     100  100  100      1\n"
+    "Launch             Date                0    0    0      1\n"
+    "Generic (micro)    Organization        0    0    0      0\n"
+    "Generic (micro)    Date                0    0    0      1\n"
+)
+
+GOLDEN_SCORE_JSON = (
+    "{\n"
+    '  "micro": [\n'
+    "    {\n"
+    '      "event_type": "ALL",\n'
+    '      "f1": 0.0,\n'
+    '      "fn": 0,\n'
+    '      "fp": 0,\n'
+    '      "n_gold": 0,\n'
+    '      "precision": 0.0,\n'
+    '      "recall": 0.0,\n'
+    '      "slot": "Organization",\n'
+    '      "tp": 0\n'
+    "    },\n"
+    "    {\n"
+    '      "event_type": "ALL",\n'
+    '      "f1": 0.0,\n'
+    '      "fn": 1,\n'
+    '      "fp": 1,\n'
+    '      "n_gold": 1,\n'
+    '      "precision": 0.0,\n'
+    '      "recall": 0.0,\n'
+    '      "slot": "Date",\n'
+    '      "tp": 0\n'
+    "    }\n"
+    "  ],\n"
+    '  "rows": [\n'
+    "    {\n"
+    '      "event_type": "LAUNCH",\n'
+    '      "f1": 1.0,\n'
+    '      "fn": 0,\n'
+    '      "fp": 0,\n'
+    '      "n_gold": 1,\n'
+    '      "precision": 1.0,\n'
+    '      "recall": 1.0,\n'
+    '      "slot": "SatelliteName",\n'
+    '      "tp": 1\n'
+    "    },\n"
+    "    {\n"
+    '      "event_type": "LAUNCH",\n'
+    '      "f1": 0.0,\n'
+    '      "fn": 1,\n'
+    '      "fp": 1,\n'
+    '      "n_gold": 1,\n'
+    '      "precision": 0.0,\n'
+    '      "recall": 0.0,\n'
+    '      "slot": "Date",\n'
+    '      "tp": 0\n'
+    "    }\n"
+    "  ]\n"
+    "}\n"
+)
+
+GOLDEN_STATS_OUT = (
+    "Event              Split         Sentences     Tagged     Tokens\n"
+    "----------------------------------------------------------------\n"
+    "Decommissioning    unassigned            1          1          6\n"
+    "Failure            test                  1          4         10\n"
+    "Launch             train                 2          6         21\n"
+    "Launch             dev                   1          0          7\n"
+)
+
+GOLDEN_STATS_JSON = (
+    "{\n"
+    '  "rows": [\n'
+    "    {\n"
+    '      "event_type": "DECOMMISSIONING",\n'
+    '      "sentences": 1,\n'
+    '      "split": "unassigned",\n'
+    '      "tagged_tokens": 1,\n'
+    '      "total_tokens": 6\n'
+    "    },\n"
+    "    {\n"
+    '      "event_type": "FAILURE",\n'
+    '      "sentences": 1,\n'
+    '      "split": "test",\n'
+    '      "tagged_tokens": 4,\n'
+    '      "total_tokens": 10\n'
+    "    },\n"
+    "    {\n"
+    '      "event_type": "LAUNCH",\n'
+    '      "sentences": 2,\n'
+    '      "split": "train",\n'
+    '      "tagged_tokens": 6,\n'
+    '      "total_tokens": 21\n'
+    "    },\n"
+    "    {\n"
+    '      "event_type": "LAUNCH",\n'
+    '      "sentences": 1,\n'
+    '      "split": "dev",\n'
+    '      "tagged_tokens": 0,\n'
+    '      "total_tokens": 7\n'
+    "    }\n"
+    "  ]\n"
+    "}\n"
+)
+
+GOLDEN_ERRORS_OUT = (
+    "Bucket            Count  Share\n"
+    "------------------------------\n"
+    "exact                 1       \n"
+    "span_error            1   100%\n"
+    "label_confusion       0     0%\n"
+    "spurious              0     0%\n"
+    "missed                0     0%\n"
+)
+
+GOLDEN_ERRORS_JSON = (
+    "{\n"
+    '  "exact": 1,\n'
+    '  "label_confusion": 0,\n'
+    '  "missed": 0,\n'
+    '  "proportions": {\n'
+    '    "label_confusion": 0.0,\n'
+    '    "missed": 0.0,\n'
+    '    "span_error": 1.0,\n'
+    '    "spurious": 0.0\n'
+    "  },\n"
+    '  "span_error": 1,\n'
+    '  "spurious": 0\n'
+    "}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, inputs, table, payload",
+    [
+        ("score", ("--gold", "gold", "--pred", "pred"), GOLDEN_SCORE_OUT, GOLDEN_SCORE_JSON),
+        ("stats", ("--annotations", "fixture"), GOLDEN_STATS_OUT, GOLDEN_STATS_JSON),
+        ("errors", ("--gold", "gold", "--pred", "pred"), GOLDEN_ERRORS_OUT, GOLDEN_ERRORS_JSON),
+    ],
+)
+def test_report_tables_and_json_byte_for_byte(
+    score_files, tmp_path, command, inputs, table, payload
+):
+    gold, pred = score_files
+    paths = {"gold": gold, "pred": pred, "fixture": str(FIXTURES / "annotation_stats.jsonl")}
+    argv = [paths.get(arg, arg) for arg in inputs]
+    json_path = tmp_path / "report.json"
+    assert run(command, *argv, "--json", str(json_path)) == (0, table, "")
+    assert json_path.read_bytes() == payload.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 
@@ -621,6 +773,21 @@ def test_missing_or_unreadable_index_is_an_input_error(tmp_path):
         code, _, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
         assert code == 1
         assert err.startswith(f"error: cannot read {index_path}")
+
+
+def test_unwritable_output_path_is_an_input_error(tmp_path, score_files):
+    gold, pred = score_files
+    missing = tmp_path / "missing"
+    cases = [
+        ("index", "--corpus", CORPUS, "--index", str(missing / "x.idx")),
+        ("score", "--gold", gold, "--pred", pred, "--json", str(missing / "x.json")),
+        ("errors", "--gold", gold, "--pred", pred, "--json", str(missing / "x.json")),
+        ("stats", "--annotations", gold, "--json", str(tmp_path)),
+    ]
+    for argv in cases:
+        code, _, err = run(*argv)
+        assert code == 1, argv
+        assert err.startswith(f"error: cannot write {argv[-1]}: "), err
 
 
 def test_non_utf8_string_inside_index_is_an_input_error(tmp_path):
@@ -669,14 +836,22 @@ def test_config_validation_exit_codes():
         assert "cannot read" not in err, err
 
 
-def test_sample_of_an_unknown_event_type_exits_1_without_records():
+def test_sample_of_an_unknown_event_type_exits_1_without_records(monkeypatch):
+    import spacevents.cli as cli
+
+    def extract(args):
+        raise AssertionError("events extracted before the --sample check")
+
+    # the type is refused before any file is read or any event extracted
+    monkeypatch.setattr(cli, "_extract", extract)
     for command in ("shortlist", "export-annotation"):
-        code, out, err = run(command, "--corpus", CORPUS, "--sample", "LANCH=0.5")
-        assert (code, out) == (1, ""), command
-        assert err == (
-            "error: sample names unknown event type 'LANCH' "
-            "(expected one of LAUNCH, FAILURE, DECOMMISSIONING)\n"
-        )
+        for corpus in (CORPUS, "/no/such/file"):
+            code, out, err = run(command, "--corpus", corpus, "--sample", "LANCH=0.5")
+            assert (code, out) == (1, ""), (command, corpus, err)
+            assert err == (
+                "error: sample names unknown event type 'LANCH' "
+                "(expected one of LAUNCH, FAILURE, DECOMMISSIONING)\n"
+            )
 
 
 def test_unexpected_failures_exit_two(monkeypatch):

@@ -13,7 +13,7 @@ from spacevents import (
     pool_duplicates,
     unigram_vector,
 )
-from spacevents.dedup import DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION
+from spacevents.dedup import DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, PoolAssignment
 from spacevents.errors import InputError
 
 from helpers import brute_force_pools, dedup_corpus, make_sentence
@@ -206,6 +206,12 @@ def test_split_for_default_and_pools_listing():
     # pooled but no splits drawn yet
     assert assignment.split_for("da") == "unassigned"
     assert assignment.pools() == {"da": ["da", "db", "dc"]}
+
+
+def test_pools_lists_each_pool_and_its_members_sorted():
+    pool_of = {"d3": "d1", "d2": "d2", "d4": "d1", "d0": "d0", "d1": "d1"}
+    pools = PoolAssignment(pool_of=pool_of, split_of={}, threshold=0.9).pools()
+    assert list(pools.items()) == [("d0", ["d0"]), ("d1", ["d1", "d3", "d4"]), ("d2", ["d2"])]
 
 
 def test_term_vector_norm_matches_recomputed_value():
