@@ -335,7 +335,7 @@ def _cmd_export_annotation(args, out, err) -> int:
 
 
 def _write_report(args, out, table: str, payload: dict) -> None:
-    out.write(table + "\n")
+    # the JSON first, so a path that cannot be written leaves stdout empty
     if args.json:
         try:
             Path(args.json).write_text(
@@ -343,6 +343,7 @@ def _write_report(args, out, table: str, payload: dict) -> None:
             )
         except OSError as exc:
             raise InputError(f"cannot write {args.json}: {exc.strerror or exc}")
+    out.write(table + "\n")
 
 
 def _cmd_score(args, out, err) -> int:

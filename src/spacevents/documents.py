@@ -23,7 +23,8 @@ the order edges appeared in the input.
 The parsers take an accept path that builds no message.  Each sentence's
 head links pass ``_is_tree``, a single-pass test; only a sentence that
 fails it goes to ``sentence_issues``, which owns every structure message.
-A JSONL record is read once, by ``_doc_from_dict`` and the one sentence
+Each JSON line, here and in annotation files, is decoded by ``json_lines``;
+a JSONL record is read once, by ``_doc_from_dict`` and the one sentence
 reader it calls, ``_read_sentences``: each value's exact JSON type is
 checked in record order, and only the first value refused builds a
 message, through ``_refused``, raised where the value is found.  Within
@@ -43,7 +44,7 @@ from dataclasses import dataclass, fields
 from datetime import date
 from functools import cached_property, wraps
 from operator import attrgetter, lt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParseError, SchemaError, StructureError
 
@@ -286,6 +287,32 @@ def text_lines(source) -> list[str]:
     return [line.removesuffix("\n").removesuffix("\r") for line in source]
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's number, counted from 1, and the JSON value it holds.
+
+    Besides what ``json.loads`` refuses, a line is invalid JSON when its value
+    nests too deeply, holds an integer past Python's digit limit, or holds a
+    lone surrogate, which no UTF-8 output can write: a value is re-encoded to
+    look for one only when its line has a ``\\u`` escape that may spell one.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+            if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                if _SURROGATE.search(json.dumps(value, ensure_ascii=False)):
+                    raise ValueError("lone surrogate in a string")
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
+        yield line_no, value
+
+
 _NEWDOC_KEY = re.compile(rb"^#([^=\n]*)=", re.MULTILINE)
 
 
@@ -458,16 +485,13 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
     heads: list[int] = []
     skip = False  # the current sentence is left out
     token_of, new_token, edge_of, new_edge = _sharing(_conllu_token_fields)
-    last_line = 0
 
     def close_sentence() -> None:
-        nonlocal sent_id, tokens, edges, heads
+        nonlocal sent_id, sent_line, tokens, edges, heads
         if sent_id is None and not tokens:
             return
         if doc_meta is None:
-            raise ParseError(
-                "sentence outside any '# newdoc id' block", line=sent_line
-            )
+            raise ParseError("sentence outside any '# newdoc id' block", line=sent_line)
         if sent_id is None:
             raise ParseError("sentence is missing a '# sent_id' comment", line=sent_line)
         if not tokens:
@@ -484,30 +508,16 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
                 raise StructureError(f"sentence {sent_id!r}: " + "; ".join(problems))
         sent_ids.add(sent_id)
         sentences.append(sent)
-        sent_id = None
-        tokens = []
-        edges = []
-        heads = []
+        sent_id, sent_line, tokens, edges, heads = None, 0, [], [], []
 
     def close_doc() -> None:
         nonlocal doc_meta, sentences, sent_ids
         if doc_meta is None:
             return
-        docs.append(
-            Document(
-                doc_meta["id"],
-                sentences,
-                doc_meta["source"],
-                doc_meta["collected_at"],
-                doc_meta["split"],
-            )
-        )
-        doc_meta = None
-        sentences = []
-        sent_ids = set()
+        docs.append(Document(sentences=sentences, **doc_meta))
+        doc_meta, sentences, sent_ids = None, [], set()
 
     for line_no, line in enumerate(_lines(source), start=1):
-        last_line = line_no
         if line[:1] not in _TOKEN_LINE_START:
             if not line.strip():
                 close_sentence()
@@ -529,12 +539,7 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
                 if key == "newdoc id":
                     close_sentence()
                     close_doc()
-                    doc_meta = {
-                        "id": value,
-                        "source": None,
-                        "collected_at": None,
-                        "split": "unassigned",
-                    }
+                    doc_meta = {"id": value}
                 elif key == "sent_id":
                     skip = sentence_ids is not None and value not in sentence_ids
                     # a sentence left out gets neither id nor tokens, so
@@ -544,14 +549,11 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
                 elif key in ("split", "source", "collected_at"):
                     if doc_meta is None:
                         raise ParseError(f"'# {key}' comment outside a document", line=line_no)
-                    if key == "split":
-                        if value not in SPLITS:
-                            raise ParseError(f"unknown split {value!r}", line=line_no)
-                        doc_meta["split"] = value
-                    elif key == "source":
-                        doc_meta["source"] = value
-                    else:
-                        doc_meta["collected_at"] = _parse_date(value, line_no)
+                    if key == "split" and value not in SPLITS:
+                        raise ParseError(f"unknown split {value!r}", line=line_no)
+                    if key == "collected_at":
+                        value = _parse_date(value, line_no)
+                    doc_meta[key] = value
                 continue
         # a token line: any line that is neither blank nor a comment
         if skip:
@@ -595,7 +597,6 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
         key = (head0, index, deprel)
         edges.append(edge_of(key) or new_edge(key))
 
-    sent_line = sent_line or last_line
     close_sentence()
     close_doc()
     return docs
@@ -645,18 +646,16 @@ def serialize_conllu(docs: Iterable[Document]) -> str:
 # JSON lines
 
 
-_ABSENT = object()
+_OPTIONAL = frozenset(("source", "collected_at", "split", "ner", "chunk"))
 
 
-def _refused(
-    obj: dict, key: str, line: int, path: str = "", optional: bool = False
-) -> SchemaError:
+def _refused(obj: dict, key: str, line: int, path: str = "") -> SchemaError:
     """The error for field ``key`` of ``obj``, whose value the reader refused.
 
-    A required field is missing or has the wrong type; an optional field
-    is refused only when present, and must then be a string.
+    A required field is missing or has the wrong type; an optional field (in
+    ``_OPTIONAL``) is refused only when present, and must then be a string.
     """
-    if optional:
+    if key in _OPTIONAL:
         return SchemaError(f"line {line}: field {path}{key} must be a string")
     if key not in obj:
         return SchemaError(f"line {line}: missing required field {path}{key}")
@@ -704,21 +703,12 @@ def _read_sentences(
             pos = raw_tok.get("pos")
             if type(pos) is not str:
                 raise _refused(raw_tok, "pos", line, f"sentences[{i}].tokens[{j}].")
-            # most tokens lack ner and chunk: a sentinel spares a second lookup
-            ner = raw_tok.get("ner", _ABSENT)
-            if ner is _ABSENT:
-                ner = None
-            elif type(ner) is not str:
-                raise _refused(
-                    raw_tok, "ner", line, f"sentences[{i}].tokens[{j}].", optional=True
-                )
-            chunk = raw_tok.get("chunk", _ABSENT)
-            if chunk is _ABSENT:
-                chunk = None
-            elif type(chunk) is not str:
-                raise _refused(
-                    raw_tok, "chunk", line, f"sentences[{i}].tokens[{j}].", optional=True
-                )
+            ner = raw_tok.get("ner")
+            if type(ner) is not str and "ner" in raw_tok:
+                raise _refused(raw_tok, "ner", line, f"sentences[{i}].tokens[{j}].")
+            chunk = raw_tok.get("chunk")
+            if type(chunk) is not str and "chunk" in raw_tok:
+                raise _refused(raw_tok, "chunk", line, f"sentences[{i}].tokens[{j}].")
             if not surface:
                 ok = False
             key = (j, surface, lemma, pos, ner, chunk)
@@ -767,15 +757,15 @@ def _doc_from_dict(obj, line: int, shared: tuple, sentence_ids) -> Document:
         raise _refused(obj, "id", line)
     source = obj.get("source")
     if type(source) is not str and "source" in obj:
-        raise _refused(obj, "source", line, optional=True)
+        raise _refused(obj, "source", line)
     collected = obj.get("collected_at")
     if type(collected) is not str and "collected_at" in obj:
-        raise _refused(obj, "collected_at", line, optional=True)
+        raise _refused(obj, "collected_at", line)
     if collected is not None:
         collected = _parse_date(collected, line)
     split = obj.get("split")
     if type(split) is not str and "split" in obj:
-        raise _refused(obj, "split", line, optional=True)
+        raise _refused(obj, "split", line)
     split = split or "unassigned"
     if split not in SPLITS:
         raise SchemaError(f"line {line}: unknown split {split!r}")
@@ -807,18 +797,11 @@ def _parse_jsonl(source, sentence_ids) -> list[Document]:
     read whole, but only the sentences kept become objects.  What is left
     out is not checked: filter only text that parses in full.
     """
-    docs: list[Document] = []
     shared = _sharing()
-    for line_no, raw in enumerate(_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
-        docs.append(_doc_from_dict(obj, line_no, shared, sentence_ids))
-    return docs
+    return [
+        _doc_from_dict(obj, line_no, shared, sentence_ids)
+        for line_no, obj in json_lines(_lines(source))
+    ]
 
 
 def document_to_dict(doc: Document) -> dict:

@@ -16,12 +16,11 @@ span at most once per sentence, on both the gold and the predicted side.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
-from .documents import SPLITS, text_lines
+from .documents import SPLITS, json_lines, text_lines
 from .errors import InputError, SchemaError
 from .schemas import GENERIC_SLOTS, SCHEMAS
 
@@ -195,14 +194,7 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     Spans within one record must not overlap, nor end past that token count.
     """
     records: list[SentenceAnnotation] = []
-    for line_no, raw in enumerate(text_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
+    for line_no, obj in json_lines(text_lines(source)):
         if not isinstance(obj, dict):
             raise SchemaError(f"line {line_no}: record must be an object")
         for key in ("sentence_id", "event_type"):

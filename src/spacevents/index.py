@@ -221,17 +221,12 @@ class _Reader:
         self._pos += count
         return chunk
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        """The next values, laid out as the ``struct`` format ``fmt``."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def string(self) -> str:
-        data = self.take(self.u16())
+        data = self.take(self.unpack("<H")[0])
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError:
@@ -244,7 +239,7 @@ class _Reader:
         loop rather than through ``string``, with the same checks in the
         same order; equal ids share one decoded string.
         """
-        count = self.u32()
+        count = self.unpack("<I")[0]
         data, pos, size = self._data, self._pos, len(self._data)
         decoded: dict[bytes, str] = {}
         strings: list[str] = []
@@ -278,7 +273,7 @@ def load_index(path) -> InvertedIndex:
     reader = _Reader(data)
     if reader.take(len(MAGIC)) != MAGIC:
         raise InputError(f"{path}: not an index file (bad magic)")
-    version = reader.u16()
+    version = reader.unpack("<H")[0]
     if version == 1:
         raise InputError(
             f"{path}: index version 1 does not fingerprint its corpus; "
@@ -288,9 +283,9 @@ def load_index(path) -> InvertedIndex:
         raise InputError(f"{path}: unsupported index version {version}")
     sentences = reader.refs()
     postings: dict[str, array] = {}
-    for _ in range(reader.u32()):
+    for _ in range(reader.unpack("<I")[0]):
         term = reader.string()
-        ids = array("I", reader.take(4 * reader.u32()))
+        ids = array("I", reader.take(4 * reader.unpack("<I")[0]))
         if sys.byteorder == "big":
             ids.byteswap()
         if ids and max(ids) >= len(sentences):
@@ -301,7 +296,7 @@ def load_index(path) -> InvertedIndex:
     if fmt:
         digest = reader.take(32)
         documents = tuple(
-            (reader.string(), reader.u64(), reader.u64()) for _ in range(reader.u32())
+            (reader.string(), *reader.unpack("<QQ")) for _ in range(reader.unpack("<I")[0])
         )
         corpus = CorpusFingerprint(format=fmt, sha256=digest, documents=documents)
     if not reader.done():

@@ -44,6 +44,23 @@ def line_ending_copies(text: str) -> list:
     return [text, crlf, cr, text.splitlines(), text.splitlines(keepends=True),
             crlf.splitlines(keepends=True), cr.splitlines(keepends=True)]
 
+
+def undecodable_json_lines(record: dict, field: str) -> list[tuple[str, str]]:
+    """Three copies of ``record`` as lines the readers refuse as invalid JSON,
+    each with the start of what the message says after ``invalid JSON: ``.
+
+    One nests too deeply and one holds an integer past Python's digit
+    limit, so ``json.loads`` fails on them with an error other than
+    ``JSONDecodeError``; the third decodes, but its string ``field`` holds a
+    lone surrogate, which no UTF-8 output can write.
+    """
+    line = json.dumps(record)
+    return [
+        ("[" * 100_000 + line + "]" * 100_000, "maximum recursion depth exceeded"),
+        (line[:-1] + ', "n": ' + "7" * 5_000 + "}", "Exceeds the limit (4300 digits)"),
+        (json.dumps({**record, field: "\ud800"}), "lone surrogate in a string"),
+    ]
+
 DEP_LABELS = (
     "nsubj", "dobj", "obj", "nmod", "obl", "compound",
     "det", "case", "amod", "punct", "advmod", "conj",
@@ -460,7 +477,7 @@ def reference_parse_conllu(source) -> list[Document]:
     last_line = 0
 
     def close_sentence() -> None:
-        nonlocal sent_id, tokens, edges
+        nonlocal sent_id, sent_line, tokens, edges
         if sent_id is None and not tokens:
             return
         if doc_meta is None:
@@ -483,6 +500,7 @@ def reference_parse_conllu(source) -> list[Document]:
         sent_ids.add(sent_id)
         sentences.append(sent)
         sent_id = None
+        sent_line = 0
         tokens = []
         edges = []
 

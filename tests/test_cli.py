@@ -22,7 +22,7 @@ from spacevents import (
 from spacevents.cli import main
 from spacevents.errors import SpaceventsError
 
-from helpers import FIXTURES, load_small_corpus, random_corpus
+from helpers import FIXTURES, load_small_corpus, random_corpus, undecodable_json_lines
 
 CORPUS = str(FIXTURES / "small.conllu")
 
@@ -475,24 +475,6 @@ def score_files(tmp_path):
     return str(gold), str(pred)
 
 
-def test_score_table_and_json(score_files, tmp_path):
-    gold, pred = score_files
-    json_path = tmp_path / "report.json"
-    code, out, _ = run(
-        "score", "--gold", gold, "--pred", pred, "--json", str(json_path)
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].split() == ["Event", "Slot", "Pr", "Re", "F1", "N"]
-    assert lines[2].split() == ["Launch", "SatelliteName", "100", "100", "100", "1"]
-    assert lines[3].split() == ["Launch", "Date", "0", "0", "0", "1"]
-
-    payload = json.loads(json_path.read_text(encoding="utf-8"))
-    assert payload["rows"][0]["slot"] == "SatelliteName"
-    assert payload["rows"][0]["f1"] == 1.0
-    assert [m["slot"] for m in payload["micro"]] == ["Organization", "Date"]
-
-
 def test_score_universe_mismatch_is_an_input_error(tmp_path, score_files):
     gold, _ = score_files
     other = tmp_path / "other.jsonl"
@@ -567,17 +549,6 @@ def test_annotation_span_past_the_token_count_is_an_input_error(tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: line 1: spans[0] ends at 8, past the sentence's 3 tokens\n"
-
-
-def test_errors_table(score_files):
-    gold, pred = score_files
-    code, out, _ = run("errors", "--gold", gold, "--pred", pred)
-    assert code == 0
-    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
-    assert rows["exact"] == ["1"]
-    assert rows["span_error"] == ["1", "100%"]
-    assert rows["missed"] == ["0", "0%"]
-    assert rows["spurious"] == ["0", "0%"]
 
 
 GOLDEN_SCORE_OUT = (
@@ -730,6 +701,7 @@ def test_report_tables_and_json_byte_for_byte(
     json_path = tmp_path / "report.json"
     assert run(command, *argv, "--json", str(json_path)) == (0, table, "")
     assert json_path.read_bytes() == payload.encode("utf-8")
+    assert run(command, *argv) == (0, table, "")
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +757,8 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, score_files):
         ("stats", "--annotations", gold, "--json", str(tmp_path)),
     ]
     for argv in cases:
-        code, _, err = run(*argv)
-        assert code == 1, argv
+        code, out, err = run(*argv)
+        assert (code, out) == (1, ""), argv  # no table without its JSON
         assert err.startswith(f"error: cannot write {argv[-1]}: "), err
 
 
@@ -808,6 +780,30 @@ def test_malformed_corpus_reports_line(tmp_path):
     code, _, err = run("validate", "--corpus", str(bad))
     assert code == 1
     assert "error: line 3" in err
+
+
+def test_undecodable_json_lines_are_input_errors(tmp_path):
+    corpus, annotations = str(tmp_path / "corpus.jsonl"), str(tmp_path / "annotations.jsonl")
+    commands = [
+        ("ingest", "--corpus", corpus),
+        ("dedup", "--corpus", corpus),
+        ("index", "--corpus", corpus, "--index", str(tmp_path / "corpus.idx")),
+        ("stats", "--annotations", annotations),
+        ("score", "--gold", annotations, "--pred", annotations),
+    ]
+    records = zip(
+        undecodable_json_lines({"id": "d", "sentences": []}, "id"),
+        undecodable_json_lines(
+            {"sentence_id": "s", "event_type": "LAUNCH", "spans": []}, "event_type"
+        ),
+    )
+    for (doc_line, problem), (annotation_line, _) in records:
+        Path(corpus).write_text(doc_line + "\n", encoding="utf-8")
+        Path(annotations).write_text(annotation_line + "\n", encoding="utf-8")
+        for argv in commands:
+            code, out, err = run(*argv)
+            assert (code, out) == (1, ""), (argv, err)
+            assert err.startswith(f"error: line 1: invalid JSON: {problem}"), (argv, err)
 
 
 def test_config_validation_exit_codes():

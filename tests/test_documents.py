@@ -37,6 +37,7 @@ from helpers import (
     random_corpus,
     reference_parse_conllu,
     reference_parse_jsonl_documents,
+    undecodable_json_lines,
 )
 
 
@@ -321,6 +322,17 @@ def test_conllu_missing_sent_id():
         parse_conllu(_conllu("# newdoc id = d", "1\ta\ta\tX\t_\t_\t0\troot\t_\t_"))
 
 
+def test_conllu_missing_sent_id_names_the_line_of_that_sentence():
+    token = "1\ta\ta\tX\t_\t_\t0\troot\t_\t_"
+    labelled = ("# newdoc id = d", "# sent_id = a", token, "")
+    second_doc = labelled + ("# sent_id = b", token, "", "# newdoc id = e")
+    for parse in (parse_conllu, reference_parse_conllu):
+        for lines, line_no in ((labelled, 5), (second_doc, 9)):
+            with pytest.raises(ParseError) as caught:
+                parse(_conllu(*lines, token))
+            assert str(caught.value) == f"line {line_no}: sentence is missing a '# sent_id' comment"
+
+
 def test_conllu_duplicate_sentence_id():
     text = _conllu(
         "# newdoc id = d",
@@ -396,6 +408,19 @@ def test_jsonl_error_messages_carry_field_paths():
     )
     with pytest.raises(SchemaError, match=r"sentences\[0\].tokens\[1\].surface"):
         parse_jsonl_documents(bad_token)
+
+
+def test_jsonl_refuses_lines_json_loads_cannot_decode_safely():
+    record = {"id": "d", "sentences": []}
+    good = json.dumps(record)
+    for line, problem in undecodable_json_lines(record, "id"):
+        with pytest.raises(SchemaError) as caught:
+            parse_jsonl_documents(f"{good}\n\n{line}\n")
+        assert str(caught.value).startswith(f"line 3: invalid JSON: {problem}")
+    # a surrogate pair, and an escaped backslash before "ud800", are no lone surrogate
+    for doc_id in ("\U0001F680", "\\ud800"):
+        parsed = parse_jsonl_documents(json.dumps({**record, "id": doc_id}))
+        assert parsed == [Document(doc_id, ())]
 
 
 def test_jsonl_rejects_bool_for_int():

@@ -21,7 +21,7 @@ from spacevents import (
 from spacevents.evaluation import GENERIC_SLOTS, ErrorBuckets
 from spacevents.errors import InputError, SchemaError
 
-from helpers import FIXTURES, line_ending_copies
+from helpers import FIXTURES, line_ending_copies, undecodable_json_lines
 
 
 def _ann(sentence_id, event_type, spans, split=None, n_tokens=None):
@@ -365,6 +365,14 @@ def test_read_annotations_errors():
         read_annotations(
             '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [], "doc_id": null}'
         )
+
+
+def test_read_annotations_refuses_lines_json_loads_cannot_decode_safely():
+    record = {"sentence_id": "s", "event_type": "LAUNCH", "spans": []}
+    for line, problem in undecodable_json_lines(record, "sentence_id"):
+        with pytest.raises(SchemaError) as caught:
+            read_annotations(line)
+        assert str(caught.value).startswith(f"line 1: invalid JSON: {problem}")
 
 
 def test_sentences_are_identified_by_document_and_sentence_id():
