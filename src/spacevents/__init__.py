@@ -33,7 +33,6 @@ _EXPORTS = {
         "parse_jsonl_documents",
         "serialize_conllu",
         "serialize_jsonl_documents",
-        "validate_corpus",
     ),
     "errors": (
         "InputError",

@@ -93,15 +93,9 @@ def _parse(text: str, fmt: str, sentence_ids=None):
     return (_parse_conllu if fmt == "conllu" else _parse_jsonl)(text, sentence_ids)
 
 
-def _parse_documents(path: str, fmt: str | None):
-    # corpus bytes are decoded as they are, without newline translation: the
-    # parsers own line endings, so index offsets agree with the parsed lines
-    return _parse(_decode(_read_bytes(path), path), _corpus_format(path, fmt))
-
-
 def _unique(docs, path: str):
     # output is keyed by (document id, sentence id), so a repeated document
-    # id would mislabel it; only ``validate`` reads such a corpus, to report it
+    # id would mislabel it: every command that reads a corpus refuses one
     seen: set[str] = set()
     for doc in docs:
         if doc.id in seen:
@@ -111,7 +105,9 @@ def _unique(docs, path: str):
 
 
 def _read_documents(path: str, fmt: str | None):
-    return _unique(_parse_documents(path, fmt), path)
+    # corpus bytes are decoded as they are, without newline translation: the
+    # parsers own line endings, so index offsets agree with the parsed lines
+    return _unique(_parse(_decode(_read_bytes(path), path), _corpus_format(path, fmt)), path)
 
 
 def _packaged(name: str) -> str:
@@ -153,17 +149,9 @@ def _cmd_ingest(args, out, err) -> int:
 
 
 def _cmd_validate(args, out, err) -> int:
-    from .documents import validate_corpus
-
-    docs = _parse_documents(args.corpus, args.format)
-    report = validate_corpus(docs)
-    for issue in report.issues:
-        print(str(issue), file=err)
-    if report.ok:
-        print(f"corpus ok: {len(docs)} documents", file=err)
-        return 0
-    print(f"{len(report.issues)} issues found", file=err)
-    return 1
+    docs = _read_documents(args.corpus, args.format)
+    print(f"corpus ok: {len(docs)} documents", file=err)
+    return 0
 
 
 def _cmd_dedup(args, out, err) -> int:
@@ -421,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus(sub)
     sub.set_defaults(func=_cmd_ingest)
 
-    sub = commands.add_parser("validate", help="report structural problems in a corpus")
+    sub = commands.add_parser("validate", help="read a corpus as every command reads it")
     _add_corpus(sub)
     sub.set_defaults(func=_cmd_validate)
 

@@ -20,19 +20,22 @@ per token, exactly one root, no cycles.  Edges are kept in a canonical
 order (by dependent) so that equal sentences compare equal regardless of
 the order edges appeared in the input.
 
-The parsers take an accept path that builds no message.  Each sentence's
-head links pass ``_is_tree``, a single-pass test; only a sentence that
-fails it goes to ``sentence_issues``, which owns every structure message.
-Each JSON line, here and in annotation files, is decoded by ``json_lines``;
-a JSONL record is read once, by ``_doc_from_dict`` and the one sentence
-reader it calls, ``_read_sentences``: each value's exact JSON type is
-checked in record order, and only the first value refused builds a
-message, through ``_refused``, raised where the value is found.  Within
-one parse call, equal tokens, equal edges and equal strings in them share
-one object each, through ``_sharing``, which builds a new (frozen) token
-or edge with ``object.__new__`` and its slot descriptors instead of the
-dataclass ``__init__``.  The cyclic garbage collector is paused, since
-parsing creates no cycles.
+The two parsers share one reader of document facts, ``_fact``, whose
+inverse ``_fact_texts`` serves both writers, and one sentence check,
+``_sentence``: a sentence's id must be new in its document, and its head
+links must pass ``_is_tree``, a single-pass test that builds no message;
+only a sentence that fails it goes to ``sentence_issues``, which owns
+every structure message.  A refused sentence is reported at its first
+line, with its document.  Each JSON line, here and in annotation files,
+is decoded by ``json_lines``; a JSONL record is read once, by
+``_doc_from_dict`` and the sentence reader it calls, ``_read_sentences``:
+each value's exact JSON type is checked in record order, and only the
+first value refused builds a message, through ``_refused``, raised where
+the value is found.  Within one parse call, equal tokens, equal edges and
+equal strings in them share one object each, through ``_sharing``, which
+builds a new (frozen) token or edge with ``object.__new__`` and its slot
+descriptors instead of the dataclass ``__init__``.  The cyclic garbage
+collector is paused, since parsing creates no cycles.
 """
 
 from __future__ import annotations
@@ -204,58 +207,6 @@ def _is_tree(heads: list[int]) -> bool:
     return max(heads) < n and _cycle_token(heads) is None
 
 
-@dataclass(frozen=True)
-class Issue:
-    doc_id: str | None
-    sentence_id: str | None
-    message: str
-
-    def __str__(self) -> str:
-        where = []
-        if self.doc_id is not None:
-            where.append(f"doc {self.doc_id}")
-        if self.sentence_id is not None:
-            where.append(f"sentence {self.sentence_id}")
-        prefix = " ".join(where)
-        return f"{prefix}: {self.message}" if prefix else self.message
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[Issue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_corpus(docs: Iterable[Document]) -> ValidationReport:
-    """Report-only validation of an already constructed corpus.
-
-    Unlike the parsers, which refuse broken input outright, this walks
-    everything and collects issues: duplicate document or sentence ids,
-    bad split names, and any structural problem ``sentence_issues`` finds.
-    """
-    issues: list[Issue] = []
-    seen_docs: set[str] = set()
-    for doc in docs:
-        if doc.id in seen_docs:
-            issues.append(Issue(doc.id, None, f"duplicate document id: {doc.id}"))
-        seen_docs.add(doc.id)
-        if doc.split not in SPLITS:
-            issues.append(Issue(doc.id, None, f"unknown split {doc.split!r}"))
-        seen_sents: set[str] = set()
-        for sent in doc.sentences:
-            if sent.id in seen_sents:
-                issues.append(
-                    Issue(doc.id, sent.id, f"duplicate sentence id: {sent.id}")
-                )
-            seen_sents.add(sent.id)
-            for message in sentence_issues(sent):
-                issues.append(Issue(doc.id, sent.id, message))
-    return ValidationReport(issues=tuple(issues))
-
-
 def _lines(source) -> Iterable[str]:
     """The lines of a string or line iterable, for both formats.
 
@@ -354,11 +305,57 @@ def document_spans(data: bytes, fmt: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _parse_date(value: str, line: int) -> date:
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise ParseError(f"collected_at is not an ISO date: {value!r}", line=line)
+# A document's facts besides its id and sentences, in the order both formats write them.
+_FACTS = ("source", "collected_at", "split")
+
+
+def _fact(key: str, text: str, line: int):
+    """The value of fact ``key`` of a document from its text, read at ``line``.
+
+    A ``collected_at`` must be an ISO date, and a split one of ``SPLITS``.
+    """
+    if key == "collected_at":
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            raise ParseError(f"collected_at is not an ISO date: {text!r}", line=line)
+    if key == "split" and text not in SPLITS:
+        raise ParseError(f"unknown split {text!r}", line=line)
+    return text
+
+
+def _fact_texts(doc: Document) -> Iterator[tuple[str, str]]:
+    """Each ``(key, text)`` that ``_fact`` reads back as a fact of ``doc``, in ``_FACTS`` order.
+
+    A fact left at its default is not written.
+    """
+    if doc.source is not None:
+        yield "source", doc.source
+    if doc.collected_at is not None:
+        yield "collected_at", doc.collected_at.isoformat()
+    if doc.split != "unassigned":
+        yield "split", doc.split
+
+
+def _sentence(sent_id, tokens, edges, heads, ok, seen, doc_id, line) -> Sentence:
+    """The sentence a reader found at ``line`` of document ``doc_id``, once it is checked.
+
+    Its id must be new among the ids in ``seen``, to which it is then added,
+    and its head links one tree: ``ok`` False, or ``heads`` failing
+    ``_is_tree``, has ``sentence_issues`` explain the sentence.
+    """
+    if sent_id in seen:
+        raise ParseError(f"duplicate sentence id {sent_id!r} in document {doc_id!r}", line=line)
+    sent = Sentence(sent_id, tokens, edges)
+    if not (ok and _is_tree(heads)):
+        problems = sentence_issues(sent)
+        if problems:
+            raise StructureError(
+                f"line {line}: sentence {sent_id!r} in document {doc_id!r}: "
+                + "; ".join(problems)
+            )
+    seen.add(sent_id)
+    return sent
 
 
 def _collector_paused(parse):
@@ -496,18 +493,9 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
             raise ParseError("sentence is missing a '# sent_id' comment", line=sent_line)
         if not tokens:
             raise ParseError(f"sentence {sent_id!r} has no tokens", line=sent_line)
-        if sent_id in sent_ids:
-            raise ParseError(
-                f"duplicate sentence id {sent_id!r} in document {doc_meta['id']!r}",
-                line=sent_line,
-            )
-        sent = Sentence(sent_id, tokens, edges)
-        if not _is_tree(heads):
-            problems = sentence_issues(sent)
-            if problems:
-                raise StructureError(f"sentence {sent_id!r}: " + "; ".join(problems))
-        sent_ids.add(sent_id)
-        sentences.append(sent)
+        sentences.append(
+            _sentence(sent_id, tokens, edges, heads, True, sent_ids, doc_meta["id"], sent_line)
+        )
         sent_id, sent_line, tokens, edges, heads = None, 0, [], [], []
 
     def close_doc() -> None:
@@ -546,14 +534,10 @@ def _parse_conllu(source, sentence_ids) -> list[Document]:
                     # close_sentence passes over it
                     sent_id = None if skip else value
                     sent_line = line_no
-                elif key in ("split", "source", "collected_at"):
+                elif key in _FACTS:
                     if doc_meta is None:
                         raise ParseError(f"'# {key}' comment outside a document", line=line_no)
-                    if key == "split" and value not in SPLITS:
-                        raise ParseError(f"unknown split {value!r}", line=line_no)
-                    if key == "collected_at":
-                        value = _parse_date(value, line_no)
-                    doc_meta[key] = value
+                    doc_meta[key] = _fact(key, value, line_no)
                 continue
         # a token line: any line that is neither blank nor a comment
         if skip:
@@ -606,12 +590,7 @@ def serialize_conllu(docs: Iterable[Document]) -> str:
     out: list[str] = []
     for doc in docs:
         out.append(f"# newdoc id = {doc.id}")
-        if doc.source is not None:
-            out.append(f"# source = {doc.source}")
-        if doc.collected_at is not None:
-            out.append(f"# collected_at = {doc.collected_at.isoformat()}")
-        if doc.split != "unassigned":
-            out.append(f"# split = {doc.split}")
+        out.extend(f"# {key} = {text}" for key, text in _fact_texts(doc))
         for sent in doc.sentences:
             out.append(f"# sent_id = {sent.id}")
             by_dep = {edge.dependent: edge for edge in sent.edges}
@@ -671,7 +650,8 @@ def _read_sentences(
     (``type(x) is``), and a message is built only for the value refused.
     An empty surface, or edges that do not give each token one head, are
     not refused on sight: they keep the sentence from the ``_is_tree``
-    test, so ``sentence_issues`` explains it after its edges are read.
+    test, so ``_sentence`` has ``sentence_issues`` explain it after its
+    edges are read.
     """
     token_of, new_token, edge_of, new_edge = shared
     sentences: list[Sentence] = []
@@ -733,19 +713,7 @@ def _read_sentences(
                 ok = False
             key = (head, dep, label)
             edges.append(edge_of(key) or new_edge(key))
-        sent = Sentence(sent_id, tokens, edges)
-        if not (ok and _is_tree(heads)):
-            problems = sentence_issues(sent)
-            if problems:
-                raise StructureError(
-                    f"line {line}: sentence {sent_id!r}: " + "; ".join(problems)
-                )
-        if sent_id in seen:
-            raise SchemaError(
-                f"line {line}: duplicate sentence id {sent_id!r} in document {doc_id!r}"
-            )
-        seen.add(sent_id)
-        sentences.append(sent)
+        sentences.append(_sentence(sent_id, tokens, edges, heads, ok, seen, doc_id, line))
     return sentences
 
 
@@ -755,20 +723,13 @@ def _doc_from_dict(obj, line: int, shared: tuple, sentence_ids) -> Document:
     doc_id = obj.get("id")
     if type(doc_id) is not str:
         raise _refused(obj, "id", line)
-    source = obj.get("source")
-    if type(source) is not str and "source" in obj:
-        raise _refused(obj, "source", line)
-    collected = obj.get("collected_at")
-    if type(collected) is not str and "collected_at" in obj:
-        raise _refused(obj, "collected_at", line)
-    if collected is not None:
-        collected = _parse_date(collected, line)
-    split = obj.get("split")
-    if type(split) is not str and "split" in obj:
-        raise _refused(obj, "split", line)
-    split = split or "unassigned"
-    if split not in SPLITS:
-        raise SchemaError(f"line {line}: unknown split {split!r}")
+    facts = {}
+    for key in _FACTS:
+        if key in obj:
+            text = obj[key]
+            if type(text) is not str:
+                raise _refused(obj, key, line)
+            facts[key] = _fact(key, text, line)
     raw_sentences = obj.get("sentences")
     if type(raw_sentences) is not list:
         raise _refused(obj, "sentences", line)
@@ -780,8 +741,7 @@ def _doc_from_dict(obj, line: int, shared: tuple, sentence_ids) -> Document:
             for raw in raw_sentences
             if type(raw) is dict and type(raw.get("id")) is str and raw["id"] in sentence_ids
         ]
-    sentences = _read_sentences(raw_sentences, line, doc_id, shared)
-    return Document(doc_id, sentences, source, collected, split)
+    return Document(doc_id, _read_sentences(raw_sentences, line, doc_id, shared), **facts)
 
 
 def parse_jsonl_documents(source) -> list[Document]:
@@ -806,12 +766,7 @@ def _parse_jsonl(source, sentence_ids) -> list[Document]:
 
 def document_to_dict(doc: Document) -> dict:
     record: dict = {"id": doc.id}
-    if doc.source is not None:
-        record["source"] = doc.source
-    if doc.collected_at is not None:
-        record["collected_at"] = doc.collected_at.isoformat()
-    if doc.split != "unassigned":
-        record["split"] = doc.split
+    record.update(_fact_texts(doc))
     record["sentences"] = []
     for sent in doc.sentences:
         tokens = []

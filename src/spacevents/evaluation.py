@@ -436,7 +436,7 @@ def corpus_stats(annotations: Sequence[SentenceAnnotation]) -> list[StatsRow]:
     Records for the same sentence and event type count once, with the
     union of their spans, as in scoring; they must agree on the split and
     the token count.  Rows are ordered by event type, then by split in
-    ``SPLITS`` order, with unknown splits after, by name.
+    ``SPLITS`` order, with any other split after, by name.
     """
     merged: dict[tuple[str, tuple[str, str]], tuple[str, int]] = {}
     for record in annotations:

@@ -496,7 +496,10 @@ def reference_parse_conllu(source) -> list[Document]:
         sent = Sentence(id=sent_id, tokens=tuple(tokens), edges=tuple(edges))
         problems = reference_sentence_issues(sent)
         if problems:
-            raise StructureError(f"sentence {sent_id!r}: " + "; ".join(problems))
+            raise StructureError(
+                f"line {sent_line}: sentence {sent_id!r} in document {doc_meta['id']!r}: "
+                + "; ".join(problems)
+            )
         sent_ids.add(sent_id)
         sentences.append(sent)
         sent_id = None
@@ -651,9 +654,11 @@ def _doc_from_dict(obj, line: int) -> Document:
     source = _optional_str(obj, "source", line, "")
     collected_raw = _optional_str(obj, "collected_at", line, "")
     collected = _parse_date(collected_raw, line) if collected_raw is not None else None
-    split = _optional_str(obj, "split", line, "") or "unassigned"
-    if split not in SPLITS:
-        raise SchemaError(f"line {line}: unknown split {split!r}")
+    split = _optional_str(obj, "split", line, "")
+    if split is None:
+        split = "unassigned"
+    elif split not in SPLITS:
+        raise ParseError(f"unknown split {split!r}", line=line)
     raw_sentences = _require(obj, "sentences", list, line, "")
     sentences: list[Sentence] = []
     seen: set[str] = set()
@@ -691,15 +696,16 @@ def _doc_from_dict(obj, line: int) -> Document:
                     label=_require(raw_edge, "label", str, line, epath),
                 )
             )
+        if sent_id in seen:
+            raise ParseError(
+                f"duplicate sentence id {sent_id!r} in document {doc_id!r}", line=line
+            )
         sent = Sentence(id=sent_id, tokens=tuple(tokens), edges=tuple(edges))
         problems = reference_sentence_issues(sent)
         if problems:
             raise StructureError(
-                f"line {line}: sentence {sent_id!r}: " + "; ".join(problems)
-            )
-        if sent_id in seen:
-            raise SchemaError(
-                f"line {line}: duplicate sentence id {sent_id!r} in document {doc_id!r}"
+                f"line {line}: sentence {sent_id!r} in document {doc_id!r}: "
+                + "; ".join(problems)
             )
         seen.add(sent_id)
         sentences.append(sent)

@@ -1,10 +1,12 @@
 import io
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ import pytest
 import spacevents
 from spacevents import (
     ANNOTATION_HEADER,
+    ROOT,
+    SPLITS,
     build_index,
     load_index,
     parse_jsonl_documents,
@@ -319,6 +323,72 @@ def test_commands_print_the_same_with_and_without_an_index_on_random_corpora(tmp
     assert len(outputs) == 3  # every copy of the corpus prints the same
 
 
+def _with_cycle(docs):
+    """``docs`` with a cycle of head links, and the ids of the document and sentence that hold it.
+
+    In the first sentence with a token whose head is not the root token,
+    that head takes the token as its own head: one root is left, and the
+    two tokens head each other.
+    """
+    for d, doc in enumerate(docs):
+        for s, sent in enumerate(doc.sentences):
+            for token, (head, _) in enumerate(sent.head_of):
+                if head != ROOT and sent.head_of[head][0] != ROOT:
+                    edges = [
+                        replace(edge, head=token) if edge.dependent == head else edge
+                        for edge in sent.edges
+                    ]
+                    sentences = list(doc.sentences)
+                    sentences[s] = replace(sent, edges=edges)
+                    cyclic = replace(doc, sentences=sentences)
+                    return docs[:d] + [cyclic] + docs[d + 1:], doc.id, sent.id
+    raise AssertionError("no sentence has a head below the root")
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "random"])
+def test_ingest_and_dedup_print_the_same_on_every_copy_and_refuse_a_cycle(tmp_path, corpus):
+    if corpus == "fixture":
+        docs, copies = load_small_corpus(), [Path(CORPUS)]
+    else:
+        docs, copies = random_corpus(random.Random(31), 60, dated=True), []
+    copies += _corpus_copies(tmp_path, docs)
+    for command in ("ingest", "dedup"):
+        outputs = set()
+        for copy in copies:
+            code, out, _ = run(command, "--corpus", str(copy))
+            assert code == 0 and out, (command, copy.name)
+            outputs.add(out)
+        assert len(outputs) == 1, command
+    cyclic, doc_id, sent_id = _with_cycle(docs)
+    (tmp_path / "cyclic").mkdir()
+    problems = set()
+    for copy in _corpus_copies(tmp_path / "cyclic", cyclic):
+        for command in ("ingest", "dedup"):
+            code, out, err = run(command, "--corpus", str(copy))
+            assert (code, out) == (1, ""), (command, copy.name)
+            assert err.startswith("error: line ") and "dependency cycle" in err, err
+            problems.add(err.split(": ", 2)[2])
+    # both formats name the same sentence of the same document
+    assert len(problems) == 1, problems
+    problem = problems.pop()
+    assert problem.startswith(f"sentence {sent_id!r} in document {doc_id!r}: dependency cycle")
+
+
+def test_jsonl_to_conllu_and_back_through_ingest_keeps_every_document_fact(tmp_path):
+    facts = itertools.product(SPLITS, (None, "wire"), (None, date(2019, 3, 4)))
+    docs = [
+        replace(doc, split=split, source=source, collected_at=collected)
+        for doc, (split, source, collected) in zip(random_corpus(random.Random(8), 20), facts)
+    ]
+    jsonl = tmp_path / "docs.jsonl"
+    jsonl.write_text(serialize_jsonl_documents(docs), encoding="utf-8")
+    code, ingested, _ = run("ingest", "--corpus", str(jsonl))
+    assert code == 0 and parse_jsonl_documents(ingested) == docs
+    conllu = tmp_path / "docs.conllu"
+    conllu.write_text(serialize_conllu(parse_jsonl_documents(ingested)), encoding="utf-8")
+    assert run("ingest", "--corpus", str(conllu))[:2] == (0, ingested)
+
+
 def test_ingest_keeps_unicode_line_breaks_inside_tokens(tmp_path):
     d1, d2 = load_small_corpus()
     first = d1.sentences[0]
@@ -361,10 +431,28 @@ def test_validate_ok_and_broken(tmp_path):
         "# newdoc id = d\n# sent_id = s\n1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n",
         encoding="utf-8",
     )
-    code, _, err = run("validate", "--corpus", str(broken))
-    assert code == 1
-    assert "duplicate document id" in err
-    assert "1 issues found" in err
+    # validate refuses what every command refuses, with the same line
+    for command in ("validate", "ingest"):
+        code, out, err = run(command, "--corpus", str(broken))
+        assert (code, out) == (1, "")
+        assert err == f"error: {broken}: duplicate document id 'd'\n"
+
+
+def test_a_parse_error_anywhere_wins_over_an_earlier_duplicate_document_id(tmp_path):
+    token = "1\ta\ta\tX\t_\t_\t0\troot\t_\t_"
+    lines = ["# newdoc id = d", "# sent_id = s", token, ""] * 2
+    lines += ["# newdoc id = e", "# sent_id = s", token.replace("\t0\t", "\tx\t"), ""]
+    corpus = tmp_path / "both.conllu"
+    index_path = tmp_path / "both.idx"
+    commands = [("validate",), ("ingest",), ("index", "--index", str(index_path))]
+    for problem, text in (
+        ("line 11: malformed head 'x'", "\n".join(lines)),
+        (f"{corpus}: duplicate document id 'd'", "\n".join(lines[:8])),
+    ):
+        corpus.write_text(text, encoding="utf-8")
+        for argv in commands:
+            assert run(*argv, "--corpus", str(corpus)) == (1, "", f"error: {problem}\n"), argv
+            assert not index_path.exists()
 
 
 def test_duplicate_document_ids_are_an_input_error(tmp_path):

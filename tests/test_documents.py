@@ -19,7 +19,6 @@ from spacevents import (
     parse_jsonl_documents,
     serialize_conllu,
     serialize_jsonl_documents,
-    validate_corpus,
 )
 from spacevents.documents import (
     _parse_conllu,
@@ -29,7 +28,7 @@ from spacevents.documents import (
     sentence_issues,
     text_lines,
 )
-from spacevents.errors import ParseError, SchemaError, StructureError
+from spacevents.errors import InputError, ParseError, SchemaError, StructureError
 
 from helpers import (
     load_small_corpus,
@@ -434,7 +433,7 @@ def test_jsonl_rejects_bool_for_int():
 
 
 def test_jsonl_unknown_split_and_duplicate_sentences():
-    with pytest.raises(SchemaError, match="unknown split"):
+    with pytest.raises(ParseError, match="unknown split"):
         parse_jsonl_documents('{"id": "d", "split": "holdout", "sentences": []}')
     dup = (
         '{"id": "d", "sentences": ['
@@ -443,8 +442,61 @@ def test_jsonl_unknown_split_and_duplicate_sentences():
         '{"id": "s", "tokens": [{"surface": "b", "lemma": "b", "pos": "X"}], '
         '"edges": [{"head": -1, "dep": 0, "label": "root"}]}]}'
     )
-    with pytest.raises(SchemaError, match="duplicate sentence id"):
+    with pytest.raises(ParseError, match="duplicate sentence id"):
         parse_jsonl_documents(dup)
+
+
+def _in_both_formats(docs, facts=()):
+    """``docs`` as CoNLL-U and as JSONL text, the last document also given ``facts``.
+
+    ``facts`` are ``(key, text)`` pairs, written as they are, so they may
+    hold texts that no ``Document`` holds.
+    """
+    last = docs[-1].id
+    conllu = serialize_conllu(docs).replace(
+        f"# newdoc id = {last}\n",
+        f"# newdoc id = {last}\n" + "".join(f"# {key} = {text}\n" for key, text in facts),
+    )
+    records = [document_to_dict(doc) for doc in docs]
+    records[-1].update(facts)
+    return conllu, "".join(json.dumps(record) + "\n" for record in records)
+
+
+def test_both_formats_refuse_each_document_fault_alike():
+    def sent(*heads):
+        tokens = tuple(Token(i, f"w{i}", f"w{i}", "X") for i in range(len(heads)))
+        return Sentence("a", tokens, tuple(DepEdge(h, i, "dep") for i, h in enumerate(heads)))
+
+    good = sent(ROOT, 0)
+    cycle = sent(ROOT, 2, 1)
+    # (facts and sentences of document 'x', the error, the CoNLL-U line it names)
+    faults = [
+        ((("split", "holdout"),), (good,), ParseError, "# split = holdout"),
+        ((("split", ""),), (good,), ParseError, "# split = "),
+        ((("collected_at", "yesterday"),), (good,), ParseError, "# collected_at = yesterday"),
+        ((), (good, good), ParseError, "# sent_id = a"),
+        ((), (sent(ROOT, 5),), StructureError, "# sent_id = a"),
+        ((), (cycle,), StructureError, "# sent_id = a"),
+        ((), (sent(ROOT, ROOT),), StructureError, "# sent_id = a"),
+        ((), (good, cycle), ParseError, "# sent_id = a"),
+    ]
+    for facts, sentences, error, named in faults:
+        # a first document also holds a sentence 'a', so only the document id tells them apart
+        docs = [Document("w", (good,)), Document("x", sentences)]
+        conllu, jsonl = _in_both_formats(docs, facts)
+        conllu_line = max(n for n, line in enumerate(conllu.split("\n"), 1) if line == named)
+        messages = []
+        for parse, text, line in ((parse_conllu, conllu, conllu_line),
+                                  (parse_jsonl_documents, jsonl, 2)):
+            with pytest.raises(InputError) as caught:
+                parse(text)
+            assert type(caught.value) is error, (facts, sentences, caught.value)
+            message = str(caught.value)
+            assert message.startswith(f"line {line}: "), (parse.__name__, message)
+            messages.append(message.split(": ", 1)[1])
+        assert messages[0] == messages[1], messages
+        if error is StructureError:
+            assert messages[0].startswith("sentence 'a' in document 'x': "), messages[0]
 
 
 def test_sentence_issues_structural_catalogue():
@@ -484,27 +536,6 @@ def test_sentence_issues_structural_catalogue():
         "s", tokens[:1], (DepEdge(ROOT, 0, "root"), DepEdge(0, 5, "dep"))
     )
     assert any("out of range" in issue for issue in sentence_issues(out_of_range))
-
-
-def test_validate_corpus_reports_instead_of_raising():
-    good = make_sentence("s", [("a", "a", "X", -1, "root")])
-    docs = [
-        Document(id="d", sentences=(good,)),
-        Document(id="d", sentences=(good,), split="nope"),
-    ]
-    report = validate_corpus(docs)
-    assert not report.ok
-    messages = [str(issue) for issue in report.issues]
-    assert any("duplicate document id" in m for m in messages)
-    assert any("unknown split" in m for m in messages)
-
-    assert validate_corpus([Document(id="solo", sentences=(good,))]).ok
-
-
-def test_validate_corpus_flags_duplicate_sentence_ids():
-    good = make_sentence("s", [("a", "a", "X", -1, "root")])
-    report = validate_corpus([Document(id="d", sentences=(good, good))])
-    assert any("duplicate sentence id" in str(issue) for issue in report.issues)
 
 
 def test_splits_constant():
