@@ -8,7 +8,9 @@ internal error.
 
 Every subcommand is a pure function of its inputs and flags, and record
 output is fully sorted, so two runs over the same files produce
-byte-identical output regardless of ``--workers``.
+byte-identical output regardless of ``--workers``.  A corpus is read as a
+stream of documents (``_documents``), and stdout is written only once the
+command has succeeded, so an input that fails anywhere prints nothing.
 
 Each subcommand imports the library modules it uses when it runs, so
 start-up loads only those.
@@ -21,7 +23,10 @@ import json
 import sys
 from contextlib import redirect_stderr
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Iterator
 
 from .errors import InputError, SpaceventsError
 
@@ -63,51 +68,79 @@ def _workers(text: str) -> int:
     return value
 
 
-def _read_bytes(path: str) -> bytes:
+def _decode(data: bytes, path: str, offset: int = 0) -> str:
+    # ``data`` starts at byte ``offset`` of the file
     try:
-        return Path(path).read_bytes()
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {offset + exc.start})")
+
+
+def _byte_blocks(path: str) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines of about 64 KiB (the last may not end one).
+
+    UTF-8 never puts ``\n`` inside a multi-byte character, so each block decodes alone.
+    """
+    try:
+        with open(path, "rb") as file:
+            pending: list[bytes] = []  # the start of a line that has not ended yet
+            while data := file.read(1 << 16):
+                end = data.rfind(b"\n") + 1
+                if end:
+                    yield b"".join(pending) + data[:end]
+                    pending.clear()
+                pending.append(data[end:])
+            if rest := b"".join(pending):
+                yield rest
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _decode(data: bytes, path: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})")
-
-
 def _read_text(path: str) -> str:
     """A rules, gazetteer or annotation file; each of their readers owns its line endings."""
-    return _decode(_read_bytes(path), path)
+    return _decode(b"".join(_byte_blocks(path)), path)
 
 
 def _corpus_format(path: str, fmt: str | None) -> str:
     return fmt or ("conllu" if path.endswith(".conllu") else "jsonl")
 
 
-def _parse(text: str, fmt: str, sentence_ids=None):
-    # with ``sentence_ids``, only the sentences with those ids are built
-    from .documents import _parse_conllu, _parse_jsonl
+def _documents(path: str, fmt: str | None, on_block=None) -> Iterator:
+    """Each document of the corpus at ``path``, as soon as it is parsed.
 
-    return (_parse_conllu if fmt == "conllu" else _parse_jsonl)(text, sentence_ids)
+    The bytes are decoded a block at a time, as they are: the parsers own
+    line endings, so index offsets agree with the parsed lines.
+    ``on_block`` sees each block's bytes.  A fault is raised as a
+    whole-file read would raise it: a byte that is not UTF-8 first, then
+    a parse error, then a repeated document id (output is keyed by
+    document and sentence id, so every command refuses one).
+    """
+    from .documents import _lines, read_conllu, read_jsonl
 
+    def texts():
+        offset = 0
+        for block in _byte_blocks(path):
+            if on_block is not None:
+                on_block(block)
+            yield _decode(block, path, offset)
+            offset += len(block)
 
-def _unique(docs, path: str):
-    # output is keyed by (document id, sentence id), so a repeated document
-    # id would mislabel it: every command that reads a corpus refuses one
+    read = read_conllu if _corpus_format(path, fmt) == "conllu" else read_jsonl
+    blocks = texts()
     seen: set[str] = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise InputError(f"{path}: duplicate document id {doc.id!r}")
-        seen.add(doc.id)
-    return docs
-
-
-def _read_documents(path: str, fmt: str | None):
-    # corpus bytes are decoded as they are, without newline translation: the
-    # parsers own line endings, so index offsets agree with the parsed lines
-    return _unique(_parse(_decode(_read_bytes(path), path), _corpus_format(path, fmt)), path)
+    repeated = None
+    try:
+        for doc in read(chain.from_iterable(map(_lines, blocks))):
+            if doc.id in seen and repeated is None:
+                repeated = doc.id
+            seen.add(doc.id)
+            yield doc
+    except InputError:
+        for _ in blocks:  # decode the rest: a byte that is not UTF-8 wins
+            pass
+        raise
+    if repeated is not None:
+        raise InputError(f"{path}: duplicate document id {repeated!r}")
 
 
 def _packaged(name: str) -> str:
@@ -142,26 +175,39 @@ def _emit(out, record: dict) -> None:
 def _cmd_ingest(args, out, err) -> int:
     from .documents import serialize_jsonl_documents
 
-    docs = _read_documents(args.corpus, args.format)
-    out.write(serialize_jsonl_documents(docs))
-    print(f"ingested {len(docs)} documents", file=err)
+    count = 0
+    for doc in _documents(args.corpus, args.format):
+        out.write(serialize_jsonl_documents([doc]))
+        count += 1
+    print(f"ingested {count} documents", file=err)
     return 0
 
 
 def _cmd_validate(args, out, err) -> int:
-    docs = _read_documents(args.corpus, args.format)
-    print(f"corpus ok: {len(docs)} documents", file=err)
+    count = sum(1 for _ in _documents(args.corpus, args.format))
+    print(f"corpus ok: {count} documents", file=err)
     return 0
 
 
 def _cmd_dedup(args, out, err) -> int:
-    from .dedup import DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, assign_splits, pool_duplicates
+    from .dedup import (
+        DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, assign_splits, pool_vectors, unigram_vector
+    )
 
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     unseen = DEFAULT_UNSEEN_FRACTION if args.unseen_fraction is None else args.unseen_fraction
-    docs = _read_documents(args.corpus, args.format)
-    assignment = pool_duplicates(docs, threshold=threshold)
-    assignment = assign_splits(assignment, docs, unseen_fraction=unseen)
+    # a document is kept as its term vector and its id and date, all assign_splits reads
+    dated, vectors, uncountable = [], [], None
+    for doc in _documents(args.corpus, args.format):
+        dated.append(replace(doc, sentences=()))
+        try:
+            vectors.append(unigram_vector(doc))
+        except InputError as exc:  # raised once the whole corpus has parsed
+            uncountable = uncountable or exc
+    if uncountable:
+        raise uncountable
+    assignment = pool_vectors(vectors, threshold=threshold)
+    assignment = assign_splits(assignment, dated, unseen_fraction=unseen)
     for doc_id in sorted(assignment.pool_of):
         _emit(
             out,
@@ -178,9 +224,8 @@ def _cmd_dedup(args, out, err) -> int:
 def _cmd_ner(args, out, err) -> int:
     from .gazetteer import ner_layer
 
-    docs = _read_documents(args.corpus, args.format)
     layer = ner_layer(_load_gazetteer(args.gazetteer))
-    for doc in docs:
+    for doc in _documents(args.corpus, args.format):
         for sent in doc.sentences:
             mentions = layer(sent)
             _emit(
@@ -203,32 +248,40 @@ def _cmd_ner(args, out, err) -> int:
 
 
 def _cmd_index(args, out, err) -> int:
-    from .index import build_index, corpus_fingerprint, save_index
+    from .index import CorpusHasher, build_index, save_index
 
-    fmt = _corpus_format(args.corpus, args.format)
-    data = _read_bytes(args.corpus)
-    docs = _unique(_parse(_decode(data, args.corpus), fmt), args.corpus)
-    index = build_index(docs, workers=args.workers)
-    corpus = corpus_fingerprint(data, fmt, [doc.id for doc in docs])
-    save_index(replace(index, corpus=corpus), args.index)
-    n_sentences = sum(len(doc.sentences) for doc in docs)
+    hasher = CorpusHasher(_corpus_format(args.corpus, args.format))
+    doc_ids: list[str] = []
+
+    def noted(doc):
+        doc_ids.append(doc.id)
+        return doc
+
+    docs = _documents(args.corpus, args.format, on_block=hasher.update)
+    index = build_index(map(noted, docs), workers=args.workers)
+    save_index(replace(index, corpus=hasher.fingerprint(doc_ids)), args.index)
     print(
-        f"indexed {len(docs)} documents / {n_sentences} sentences: "
+        f"indexed {len(doc_ids)} documents / {len(index.sentences)} sentences: "
         f"{len(index)} terms -> {args.index}",
         file=err,
     )
     return 0
 
 
-def _candidate_documents(args, index, rules):
+def _candidate_documents(args, index, rules) -> Iterator:
     """Build only the rules' candidate sentences, in the documents that hold them.
 
-    Each such document is parsed from its byte span alone and holds just
-    its candidate sentences, in file order.  The index must fingerprint
-    this very file: then every skipped byte was parsed and validated in
-    full when the index was built, duplicate document ids included, and
-    the scan's result is unchanged.
+    The file is read once: every byte is hashed, and only the byte spans
+    of the documents with a candidate are kept.  Once the digest matches
+    the index's, each span is parsed alone, for just its candidate
+    sentences.  The index must fingerprint this very file: then every
+    skipped byte was parsed and validated in full when the index was
+    built, duplicate document ids included, and the scan's result is
+    unchanged.
     """
+    import hashlib
+
+    from .documents import _parse_conllu, _parse_jsonl
     from .matching import candidate_sentence_ids
 
     corpus = index.corpus
@@ -238,47 +291,88 @@ def _candidate_documents(args, index, rules):
             "rebuild the index with 'spacevents index'"
         )
     fmt = _corpus_format(args.corpus, args.format)
-    data = _read_bytes(args.corpus)
-    if not corpus.matches(data, fmt):
-        raise InputError(f"{args.index}: built for a different corpus")
     wanted = candidate_sentence_ids(index, rules)
-    docs = []
-    for doc_id, offset, length in corpus.documents:
+    table = sorted((offset, offset + length, doc_id) for doc_id, offset, length in corpus.documents)
+    spans = [span for span in table if span[2] in wanted]
+    kept = {doc_id: bytearray() for _, _, doc_id in spans}
+    digest, size, k = hashlib.sha256(), 0, 0
+    for block in _byte_blocks(args.corpus):
+        digest.update(block)
+        end = size + len(block)
+        while k < len(spans) and spans[k][0] < end:
+            start, stop, doc_id = spans[k]
+            kept[doc_id] += block[max(start - size, 0) : stop - size]
+            if stop > end:
+                break  # the span goes on in the next block
+            k += 1
+        size = end
+    if corpus.format != fmt or corpus.sha256 != digest.digest():
+        raise InputError(f"{args.index}: built for a different corpus")
+    stops = [0] + [stop for _, stop, _ in table]
+    if any(start < stop for (start, _, _), stop in zip(table, stops)) or stops[-1] > size:
+        raise InputError(f"{args.index}: document table does not match the corpus")
+    parse = _parse_conllu if fmt == "conllu" else _parse_jsonl
+    for doc_id, offset, _ in corpus.documents:
         sentence_ids = wanted.pop(doc_id, None)
         if sentence_ids is not None:
-            text = _decode(data[offset : offset + length], args.corpus)
-            parsed = _parse(text, fmt, sentence_ids)
+            parsed = parse(_decode(kept.pop(doc_id), args.corpus, offset), sentence_ids)
             if [doc.id for doc in parsed] != [doc_id]:
                 raise InputError(f"{args.index}: document table does not match the corpus")
             if len(parsed[0].sentences) != len(sentence_ids):
                 raise InputError(f"{args.index}: sentence table does not match the corpus")
-            docs.extend(parsed)
+            yield parsed[0]
     if wanted:
         raise InputError(f"{args.index}: document table does not match the corpus")
-    return docs
 
 
-def _extract(args):
+def _keeping_tagged(docs, layer, kept: list):
+    """``docs`` and ``layer``, wrapped so that ``kept`` gets the sentences ``layer`` tags.
+
+    Each document with a tagged sentence is added, holding just those.
+    ``extract_events`` tags a sentence before it builds an event in it, and
+    is done with a document when it reads the next one.
+    """
+    tagged = []
+
+    def tag(sentence):
+        tagged.append(sentence)
+        return layer(sentence)
+
+    def read():
+        for doc in docs:
+            yield doc
+            if tagged:
+                kept.append(replace(doc, sentences=tagged))
+                tagged.clear()
+
+    return read(), tag
+
+
+def _extract(args, kept: list | None = None):
+    """The rules' events, from one pass over the corpus, or its candidates with ``--index``.
+
+    The rules and the gazetteer are read first.  ``kept`` gets the
+    documents that may hold an event (``_keeping_tagged``).
+    """
     from .gazetteer import ner_layer
     from .index import load_index
     from .matching import extract_events
 
     rules = _load_rules(args.rules)
-    if getattr(args, "index", None):
-        # the documents hold only candidate sentences, so a scan of them
-        # visits what the index would select
+    layer = ner_layer(_load_gazetteer(args.gazetteer))
+    if args.index:
         docs = _candidate_documents(args, load_index(args.index), rules)
     else:
-        docs = _read_documents(args.corpus, args.format)
-    layer = ner_layer(_load_gazetteer(args.gazetteer))
-    events = extract_events(docs, rules, ner=layer, workers=args.workers)
-    return docs, events
+        docs = _documents(args.corpus, args.format)
+    if kept is not None:
+        docs, layer = _keeping_tagged(docs, layer, kept)
+    return extract_events(docs, rules, ner=layer, workers=args.workers)
 
 
 def _cmd_extract(args, out, err) -> int:
     from .matching import event_to_dict
 
-    _, events = _extract(args)
+    events = _extract(args)
     for event in events:
         _emit(out, event_to_dict(event))
     print(f"{len(events)} events", file=err)
@@ -290,7 +384,7 @@ def _cmd_shortlist(args, out, err) -> int:
     from .schemas import sample_fractions, shortlist
 
     sample = sample_fractions(dict(args.sample))  # checked before any file is read
-    _, events = _extract(args)
+    events = _extract(args)
     candidates = shortlist(events, sample=sample, seed=args.seed)
     for cand in candidates:
         _emit(
@@ -312,7 +406,8 @@ def _cmd_export_annotation(args, out, err) -> int:
     from .schemas import ANNOTATION_HEADER, annotation_task_records, sample_fractions, shortlist
 
     sample = sample_fractions(dict(args.sample))  # checked before any file is read
-    docs, events = _extract(args)
+    docs: list = []
+    events = _extract(args, kept=docs)
     candidates = shortlist(events, sample=sample, seed=args.seed)
     _emit(out, ANNOTATION_HEADER)
     records = annotation_task_records(candidates, docs)
@@ -474,8 +569,12 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    chunks: list[str] = []
     try:
-        return args.func(args, out, err)
+        code = args.func(args, SimpleNamespace(write=chunks.append), err)
+        for chunk in chunks:
+            out.write(chunk)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .documents import Document
@@ -22,6 +23,8 @@ from .errors import InputError
 
 DEFAULT_THRESHOLD = 0.90
 DEFAULT_UNSEEN_FRACTION = 0.41
+
+_SURFACE = attrgetter("surface")
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,15 @@ def unigram_vector(doc: Document) -> TermVector:
     are not counted; a document with nothing countable is an error
     because cosine similarity would be undefined for it.
     """
-    surfaces = Counter(tok.surface for sent in doc.sentences for tok in sent.tokens)
+    surfaces: Counter[str] = Counter()
+    for sent in doc.sentences:
+        surfaces.update(map(_SURFACE, sent.tokens))
     counts: dict[str, int] = {}
     for surface, n in surfaces.items():
         term = surface.lower()
         if term == surface:
             term = surface  # keep the token's string rather than a copy of it
-        if any(ch.isalnum() for ch in term):
+        if term.isalnum() or any(ch.isalnum() for ch in term):
             counts[term] = counts.get(term, 0) + n
     if not counts:
         raise InputError(f"document {doc.id!r} has no countable tokens")
@@ -115,7 +120,16 @@ def _prefix(
 def pool_duplicates(
     docs: Sequence[Document], threshold: float = DEFAULT_THRESHOLD
 ) -> PoolAssignment:
-    """Group documents into near-duplicate pools (transitive closure).
+    """Group documents into near-duplicate pools: ``pool_vectors`` of their unigram vectors."""
+    if not 0.0 < threshold <= 1.0:
+        raise InputError(f"threshold must be in (0, 1], got {threshold}")
+    return pool_vectors([unigram_vector(doc) for doc in docs], threshold)
+
+
+def pool_vectors(
+    vectors: Sequence[TermVector], threshold: float = DEFAULT_THRESHOLD
+) -> PoolAssignment:
+    """Group documents, given as term vectors, into near-duplicate pools (transitive closure).
 
     Every pair that can still exceed the threshold is decided by
     ``cosine_similarity(a, b) > threshold``, so the pools equal those of
@@ -141,7 +155,6 @@ def pool_duplicates(
     """
     if not 0.0 < threshold <= 1.0:
         raise InputError(f"threshold must be in (0, 1], got {threshold}")
-    vectors = [unigram_vector(doc) for doc in docs]
     ids = [v.doc_id for v in vectors]
     if len(set(ids)) != len(ids):
         raise InputError("duplicate document ids in corpus")
@@ -159,7 +172,9 @@ def pool_duplicates(
         if ri != rj:
             parent[rj] = ri
 
-    df = Counter(term for vec in vectors for term in vec.counts)
+    df: Counter[str] = Counter()
+    for vec in vectors:
+        df.update(vec.counts.keys())
     rank = {term: r for r, term in enumerate(sorted(df, key=lambda term: (df[term], term)))}
     del df
     floor = max(threshold - _PRUNE_MARGIN, 0.0)
@@ -208,6 +223,8 @@ def assign_splits(
     unseen_fraction: float = DEFAULT_UNSEEN_FRACTION,
 ) -> PoolAssignment:
     """Assign every pool to train/dev/test, newest pools held out.
+
+    Of each document only its ``id`` and ``collected_at`` are read.
 
     Pools are ordered by their newest member, keyed on collected_at
     (ISO order) with the document id as fallback, so the held-out data

@@ -46,8 +46,9 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter, lt
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .documents import Document, document_spans
 from .errors import InputError, SpaceventsError
@@ -60,6 +61,8 @@ VERSION = 2
 
 Ref = tuple[str, str]  # (doc id, sentence id)
 
+_BY_ID = attrgetter("id")
+
 
 @dataclass(frozen=True)
 class CorpusFingerprint:
@@ -69,29 +72,49 @@ class CorpusFingerprint:
     sha256: bytes  # digest of the file's bytes
     documents: tuple[tuple[str, int, int], ...]  # (doc id, byte offset, byte length), by id
 
-    def matches(self, data: bytes, fmt: str) -> bool:
-        """Whether ``data``, read as ``fmt``, is the file this fingerprints."""
-        return self.format == fmt and self.sha256 == _sha256(data)
 
+class CorpusHasher:
+    """The fingerprint of a corpus file, read block by block as ``hashlib`` reads one.
 
-def _sha256(data: bytes) -> bytes:
-    import hashlib  # loads OpenSSL, which commands that take no digest need not pay for
+    ``update`` takes the file's bytes in order, in blocks that each end at
+    a line end (the last may not); ``fingerprint`` names the documents.
+    """
 
-    return hashlib.sha256(data).digest()
+    def __init__(self, fmt: str):
+        import hashlib  # loads OpenSSL, which commands that take no digest need not pay for
+
+        self.format = fmt
+        self._digest = hashlib.sha256()
+        self._spans: list[tuple[int, int]] = []
+        self._size = 0
+
+    def update(self, block: bytes) -> None:
+        self._digest.update(block)
+        self._spans += [(self._size + at, n) for at, n in document_spans(block, self.format)]
+        self._size += len(block)
+
+    def fingerprint(self, doc_ids: Sequence[str]) -> CorpusFingerprint:
+        """The fingerprint, for the documents the bytes parsed to, ``doc_ids`` in file order."""
+        spans = self._spans
+        if self.format == "conllu":  # a document runs on to the next one, across blocks
+            ends = [start for start, _ in spans[1:]] + [self._size]
+            spans = [(start, end - start) for (start, _), end in zip(spans, ends)]
+        if len(spans) != len(doc_ids):
+            raise SpaceventsError(
+                f"found {len(spans)} document spans for {len(doc_ids)} parsed documents"
+            )
+        return CorpusFingerprint(
+            format=self.format,
+            sha256=self._digest.digest(),
+            documents=tuple(sorted((doc_id, *span) for doc_id, span in zip(doc_ids, spans))),
+        )
 
 
 def corpus_fingerprint(data: bytes, fmt: str, doc_ids: Sequence[str]) -> CorpusFingerprint:
     """Fingerprint corpus file bytes whose documents parsed to ``doc_ids``, in file order."""
-    spans = document_spans(data, fmt)
-    if len(spans) != len(doc_ids):
-        raise SpaceventsError(
-            f"found {len(spans)} document spans for {len(doc_ids)} parsed documents"
-        )
-    return CorpusFingerprint(
-        format=fmt,
-        sha256=_sha256(data),
-        documents=tuple(sorted((doc_id, *span) for doc_id, span in zip(doc_ids, spans))),
-    )
+    hasher = CorpusHasher(fmt)
+    hasher.update(data)
+    return hasher.fingerprint(doc_ids)
 
 
 @dataclass(frozen=True)
@@ -112,30 +135,37 @@ def index_term(field: str, value: str) -> str:
     return f"surface:{value.lower()}" if field == "surface" else f"lemma:{value}"
 
 
-def build_index(docs: Sequence[Document], workers: int = 1) -> InvertedIndex:
+def build_index(docs: Iterable[Document], workers: int = 1) -> InvertedIndex:
     """Index every token's lowercased surface and lemma, per sentence.
 
-    ``workers`` is accepted for compatibility and ignored: the build is
-    pure-Python work, which threads only slow down.
+    ``docs`` is read once, in order, and no sentence is kept: postings
+    are built on refs numbered in reading order, each document's sentences
+    by id, then renumbered in ref order unless the documents came in id
+    order.  ``workers`` is accepted for compatibility and ignored: the
+    build is pure-Python work, which threads only slow down.
     """
-    indexed = [sent for doc in docs for sent in doc.sentences if sent.tokens]
-    refs = [(doc.id, sent.id) for doc in docs for sent in doc.sentences if sent.tokens]
-    sentences: list[Ref] = []
+    refs: list[Ref] = []
     postings: dict[str, array] = {}
-    # visit sentences in ref order so each posting array comes out sorted; the
-    # order is a list of ints, not of (ref, sentence) pairs, which would give
-    # the garbage collector one more object to track per sentence
-    for k in sorted(range(len(refs)), key=refs.__getitem__):
-        if not sentences or sentences[-1] != refs[k]:
-            sentences.append(refs[k])
-        ref_id = len(sentences) - 1
-        for tok in indexed[k].tokens:
-            for term in (index_term("surface", tok.surface), index_term("lemma", tok.lemma)):
-                ids = postings.get(term)
-                if ids is None:
-                    postings[term] = array("I", (ref_id,))
-                elif ids[-1] != ref_id:
-                    ids.append(ref_id)
+    for doc in docs:
+        for sent in sorted(doc.sentences, key=_BY_ID):
+            if not sent.tokens:
+                continue
+            ref_id = len(refs)
+            refs.append((doc.id, sent.id))
+            for tok in sent.tokens:
+                for term in (index_term("surface", tok.surface), index_term("lemma", tok.lemma)):
+                    ids = postings.get(term)
+                    if ids is None:
+                        postings[term] = array("I", (ref_id,))
+                    elif ids[-1] != ref_id:
+                        ids.append(ref_id)
+    if all(map(lt, refs, refs[1:])):
+        return InvertedIndex(postings=postings, sentences=tuple(refs))
+    sentences = sorted(set(refs))  # equal refs (a repeated document id) become one
+    final = array("I", map({ref: i for i, ref in enumerate(sentences)}.__getitem__, refs))
+    for term, ids in postings.items():
+        ids = map(final.__getitem__, ids)
+        postings[term] = array("I", sorted(ids if len(sentences) == len(refs) else set(ids)))
     return InvertedIndex(postings=postings, sentences=tuple(sentences))
 
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -290,6 +292,75 @@ def test_document_table_that_points_inside_a_token_is_an_input_error(tmp_path):
         assert err == f"error: {index_path}: sentence table does not match the corpus\n"
 
 
+def test_document_table_with_overlapping_spans_or_spans_past_the_end_is_an_input_error(
+    tmp_path,
+):
+    index_path = tmp_path / "small.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
+    index = load_index(index_path)
+    (d1, off1, len1), (d2, off2, len2) = index.corpus.documents
+    size = Path(CORPUS).stat().st_size
+    changed = tmp_path / "changed.conllu"
+    changed.write_text(
+        Path(CORPUS).read_text(encoding="utf-8").replace("\tCape\tCape\t", "\tCap\tCap\t"),
+        encoding="utf-8",
+    )
+    forgeries = [
+        ((d1, off1, len1 + 10), (d2, off2, len2)),  # d1 runs into d2
+        ((d1, off1, len1), (d2, off2, len2 + 1)),  # d2 runs past the end of the file
+        ((d1, off1, len1), (d2, size + 5, len2)),  # d2 starts past it
+    ]
+    for documents in forgeries:
+        forged = replace(index, corpus=replace(index.corpus, documents=documents))
+        save_index(forged, index_path)
+        code, out, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
+        assert (code, out) == (1, ""), documents
+        assert err == f"error: {index_path}: document table does not match the corpus\n"
+        # the digest is checked first
+        code, out, err = run("extract", "--corpus", str(changed), "--index", str(index_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {index_path}: built for a different corpus\n"
+
+
+def test_extract_shortlist_and_export_print_the_same_with_and_without_an_index_on_each_copy(
+    tmp_path,
+):
+    # the fixture, its JSONL copy and a copy with CRLF line endings
+    jsonl = tmp_path / "small.jsonl"
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    crlf = tmp_path / "small-crlf.conllu"
+    crlf.write_bytes(Path(CORPUS).read_bytes().replace(b"\n", b"\r\n"))
+    commands = ("extract", "shortlist", "export-annotation")
+    expected = {command: run(command, "--corpus", CORPUS)[:2] for command in commands}
+    assert all(code == 0 and out for code, out in expected.values())
+    for corpus in (CORPUS, str(jsonl), str(crlf)):
+        index_path = tmp_path / "small.idx"
+        assert run("index", "--corpus", corpus, "--index", str(index_path))[0] == 0
+        for command in commands:
+            assert run(command, "--corpus", corpus)[:2] == expected[command], (corpus, command)
+            indexed = run(command, "--corpus", corpus, "--index", str(index_path))
+            assert indexed[:2] == expected[command], (corpus, command)
+
+
+def test_an_index_refuses_a_copy_of_its_corpus_with_one_token_changed(tmp_path):
+    jsonl = tmp_path / "small.jsonl"
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    edits = (
+        (Path(CORPUS), "\tCape\tCape\t", "\tCap\tCap\t"),
+        (jsonl, '"surface":"Cape","lemma":"Cape"', '"surface":"Cap","lemma":"Cap"'),
+    )
+    for corpus, old, new in edits:
+        index_path = tmp_path / "small.idx"
+        assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
+        text = corpus.read_text(encoding="utf-8")
+        assert old in text
+        edited = tmp_path / f"edited{corpus.suffix}"
+        edited.write_text(text.replace(old, new), encoding="utf-8")
+        code, out, err = run("extract", "--corpus", str(edited), "--index", str(index_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {index_path}: built for a different corpus\n"
+
+
 def _corpus_copies(tmp_path, docs):
     conllu = serialize_conllu(docs)
     copies = {
@@ -444,7 +515,8 @@ def test_a_parse_error_anywhere_wins_over_an_earlier_duplicate_document_id(tmp_p
     lines += ["# newdoc id = e", "# sent_id = s", token.replace("\t0\t", "\tx\t"), ""]
     corpus = tmp_path / "both.conllu"
     index_path = tmp_path / "both.idx"
-    commands = [("validate",), ("ingest",), ("index", "--index", str(index_path))]
+    commands = [("validate",), ("ingest",), ("index", "--index", str(index_path)),
+                ("extract",), ("ner",), ("dedup",)]
     for problem, text in (
         ("line 11: malformed head 'x'", "\n".join(lines)),
         (f"{corpus}: duplicate document id 'd'", "\n".join(lines[:8])),
@@ -453,6 +525,102 @@ def test_a_parse_error_anywhere_wins_over_an_earlier_duplicate_document_id(tmp_p
         for argv in commands:
             assert run(*argv, "--corpus", str(corpus)) == (1, "", f"error: {problem}\n"), argv
             assert not index_path.exists()
+
+
+def _corpus_commands(index_path):
+    """The argument lists, but ``--corpus``, of every command that reads a corpus."""
+    return [
+        ("ingest",), ("validate",), ("dedup",), ("ner",), ("index", "--index", str(index_path)),
+        ("extract",), ("shortlist", "--sample", "LAUNCH=0.5"),
+        ("export-annotation", "--sample", "LAUNCH=0.5"),
+    ]
+
+
+def test_a_byte_that_is_not_utf8_anywhere_wins_then_a_parse_error(tmp_path):
+    filler = serialize_conllu(random_corpus(random.Random(23), 400)).encode("utf-8")
+    assert len(filler) > 1 << 16  # past the first block the corpus is read in
+    broken = b"# newdoc id = b\n# sent_id = s\n1\tword\n\n"
+    uncountable = b"# newdoc id = u\n# sent_id = s\n1\t.\t.\tPUNCT\t_\t_\t0\tpunct\t_\t_\n\n"
+    corpus = tmp_path / "corpus.conllu"
+    index_path = tmp_path / "corpus.idx"
+    late_byte = broken + filler + b"# source = caf\xe9\n"
+    late_fault = uncountable + filler + broken
+    lines = late_fault.count(b"\n")
+    for data, problem in (
+        (late_byte, f"{corpus}: not UTF-8 text (byte {len(late_byte) - 2})"),
+        # dedup reads no term vector before the whole corpus has parsed
+        (late_fault, f"line {lines - 1}: expected 10 tab-separated columns, got 2"),
+    ):
+        corpus.write_bytes(data)
+        for argv in _corpus_commands(index_path):
+            assert run(*argv, "--corpus", str(corpus)) == (1, "", f"error: {problem}\n"), argv
+            assert not index_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["conllu", "jsonl"])
+def test_a_fault_in_the_last_document_leaves_stdout_empty(tmp_path, fmt):
+    docs = load_small_corpus() + random_corpus(random.Random(3), 6)
+    cyclic, doc_id, _ = _with_cycle(docs[-1:])
+    serialize = serialize_conllu if fmt == "conllu" else serialize_jsonl_documents
+    good, bad = tmp_path / f"good.{fmt}", tmp_path / f"bad.{fmt}"
+    good.write_text(serialize(docs), encoding="utf-8")
+    bad.write_text(serialize(docs[:-1] + cyclic), encoding="utf-8")
+    index_path = tmp_path / "corpus.idx"
+    for argv in _corpus_commands(index_path):
+        code, out, _ = run(*argv, "--corpus", str(good))
+        assert code == 0 and (out or argv[0] in ("validate", "index")), argv
+        index_path.unlink(missing_ok=True)
+        code, out, err = run(*argv, "--corpus", str(bad))
+        assert (code, out) == (1, ""), argv
+        assert f"in document {doc_id!r}: dependency cycle" in err, (argv, err)
+        assert not index_path.exists()
+
+
+def _traced_peak(*argv) -> int:
+    """The peak of memory traced through one run of the CLI, which must succeed."""
+    gc.collect()  # garbage left by earlier work is not counted
+    tracemalloc.start()
+    try:
+        code, out, err = run(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out, err
+    return peak
+
+
+def test_peak_memory_does_not_follow_corpus_size(tmp_path):
+    docs = random_corpus(random.Random(17), 30, sentences_per_doc=(20, 30),
+                         trigger_chance=0.005, entity_chance=0.1, dated=True)
+    paths = []
+    for times in (1, 4):
+        copies = [replace(doc, id=f"{k}-{doc.id}") for k in range(times) for doc in docs]
+        paths.append(tmp_path / f"{times}x.conllu")
+        paths[-1].write_text(serialize_conllu(copies), encoding="utf-8")
+    added = paths[1].stat().st_size - paths[0].stat().st_size
+    for command in ("extract", "dedup"):
+        run(command, "--corpus", CORPUS)  # imports and first-call set-up are not measured
+    # holding every document and the text they came from takes several times
+    # the bytes added; extract keeps the events, dedup each document's id,
+    # date and term vector
+    for command, share in (("extract", 0.25), ("dedup", 0.75)):
+        small, large = (_traced_peak(command, "--corpus", str(path)) for path in paths)
+        assert large - small < share * added, (command, small, large, added)
+
+
+def test_extract_with_an_index_holds_no_copy_of_the_corpus(tmp_path):
+    # two documents with events among many that no trigger can match
+    quiet = random_corpus(random.Random(19), 150, min_len=30, max_len=40)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_jsonl_documents(load_small_corpus() + quiet), encoding="utf-8")
+    index_path = tmp_path / "corpus.idx"
+    assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
+    run("extract", "--corpus", CORPUS)  # imports and first-call set-up are not measured
+    # what reading the rules and the gazetteer takes
+    base = _traced_peak("extract", "--corpus", CORPUS)
+    peak = _traced_peak("extract", "--corpus", str(corpus), "--index", str(index_path))
+    size = corpus.stat().st_size
+    assert peak - base < size / 2, (base, peak, size)
 
 
 def test_duplicate_document_ids_are_an_input_error(tmp_path):

@@ -20,7 +20,9 @@ from spacevents import (
     serialize_conllu,
     serialize_jsonl_documents,
 )
+import spacevents.documents as documents
 from spacevents.documents import (
+    _lines,
     _parse_conllu,
     _parse_jsonl,
     document_spans,
@@ -31,6 +33,7 @@ from spacevents.documents import (
 from spacevents.errors import InputError, ParseError, SchemaError, StructureError
 
 from helpers import (
+    FIXTURES,
     load_small_corpus,
     make_sentence,
     random_corpus,
@@ -167,6 +170,20 @@ def test_text_lines_of_a_string_and_of_a_line_iterable():
     # each listed line loses one "\n", then one "\r", and nothing else
     assert text_lines(listed) == ["a", "b", "c", "d", "e\r", "f\n", "\r\ng", ""]
     assert text_lines(iter(listed)) == text_lines(listed)
+
+
+def test_a_string_splits_into_the_same_lines_in_blocks_of_any_size(monkeypatch):
+    fixture = FIXTURES.joinpath("small.conllu").read_text(encoding="utf-8")
+    texts = ["", "\n", "\n\n", "a", "a\n", "a\r\n\r\nb\r", "\ra\rb\n\u2028\n",
+             fixture, fixture.rstrip("\n"), fixture.replace("\n", "\r\n")]
+    for text in texts:
+        whole = text.split("\n")
+        if not whole[-1]:
+            whole.pop()  # the text ends with a newline, or is empty
+        expected = [line[:-1] if line.endswith("\r") else line for line in whole]
+        for block in (1, 2, 3, 7, 64, 1 << 16):
+            monkeypatch.setattr(documents, "_BLOCK", block)
+            assert list(_lines(text)) == expected, (text[:20], block)
 
 
 def test_unicode_line_breaks_inside_tokens_round_trip():
@@ -558,6 +575,9 @@ def _mutate_conllu(rng: random.Random, text: str, faults: int = 1) -> str:
     at = rng.randrange(len(lines) - 1)
     row = rng.choice([i for i, line in enumerate(lines) if line[:1].isdigit()])
     cols = lines[row].split("\t")
+    # an earlier fault may have cut this row below ten columns: a column
+    # past its end wraps round, so every other mutant stays as it was
+    width = len(cols)
     kind = rng.randrange(14)
     if kind == 0:
         del lines[at]
@@ -566,29 +586,29 @@ def _mutate_conllu(rng: random.Random, text: str, faults: int = 1) -> str:
     elif kind == 2:
         lines.insert(at, lines[at])
     elif kind == 3:
-        del cols[rng.randrange(10)]
+        del cols[rng.randrange(10) % width]
     elif kind == 4:
-        a, b = rng.sample(range(10), 2)
+        a, b = (column % width for column in rng.sample(range(10), 2))
         cols[a], cols[b] = cols[b], cols[a]
     elif kind == 5:
-        column = rng.randrange(10)
+        column = rng.randrange(10) % width
         cols.insert(column, cols[column])
     elif kind == 6:
-        cols[6] = cols[0]  # the token is its own head
+        cols[6 % width] = cols[0]  # the token is its own head
     elif kind == 7:
-        cols[6] = str(rng.randint(13, 40))  # past every sentence's end
+        cols[6 % width] = str(rng.randint(13, 40))  # past every sentence's end
     elif kind == 8:
-        cols[6] = "0"  # a second root, unless this was the root
+        cols[6 % width] = "0"  # a second root, unless this was the root
     elif kind == 9:
-        cols[6] = str(rng.randint(1, 12))  # maybe later, maybe a cycle
+        cols[6 % width] = str(rng.randint(1, 12))  # maybe later, maybe a cycle
     elif kind == 10:
         cols[1] = ""
     elif kind == 11:
-        cols[rng.choice((0, 6))] = rng.choice(ODD_NUMBERS)
+        cols[rng.choice((0, 6)) % width] = rng.choice(ODD_NUMBERS)
     elif kind == 12:
         lines.insert(at, rng.choice(("# split = nope", "# collected_at = 2020-13-01", " \t", "  x")))
     else:
-        cols[9] = rng.choice(("Ner=DATE|Chunk=B-NP", "Chunk", "Ner=", "|"))
+        cols[9 % width] = rng.choice(("Ner=DATE|Chunk=B-NP", "Chunk", "Ner=", "|"))
     lines[row] = "\t".join(cols)
     return "\n".join(lines)
 

@@ -11,8 +11,10 @@ from spacevents import (
     load_index,
     parse_rules,
     save_index,
+    serialize_conllu,
+    serialize_jsonl_documents,
 )
-from spacevents.index import MAGIC, CorpusFingerprint, corpus_fingerprint
+from spacevents.index import MAGIC, CorpusFingerprint, CorpusHasher, corpus_fingerprint
 from spacevents.errors import InputError, SpaceventsError
 
 from helpers import (
@@ -160,11 +162,23 @@ def test_corpus_fingerprint_hashes_and_locates_every_document():
     assert corpus.sha256 == hashlib.sha256(data).digest()
     start_d2 = data.index(b"# newdoc id = d2")
     assert corpus.documents == (("d1", 0, start_d2), ("d2", start_d2, len(data) - start_d2))
-    assert corpus.matches(data, "conllu")
-    assert not corpus.matches(data, "jsonl")
-    assert not corpus.matches(data.replace(b"Cape", b"Capo"), "conllu")
     with pytest.raises(SpaceventsError, match="found 2 document spans for 1 parsed documents"):
         corpus_fingerprint(data, "conllu", ["d1"])
+
+
+def test_a_fingerprint_read_in_blocks_of_whole_lines_is_the_one_read_whole():
+    docs = load_small_corpus() + random_corpus(random.Random(41), 5)
+    conllu = serialize_conllu(docs)
+    for text, fmt in ((conllu, "conllu"), (conllu.replace("\n", "\r\n"), "conllu"),
+                      (serialize_jsonl_documents(docs), "jsonl")):
+        data = text.encode("utf-8")
+        whole = corpus_fingerprint(data, fmt, [doc.id for doc in docs])
+        lines = data.splitlines(keepends=True)
+        for size in (1, 2, 5):
+            hasher = CorpusHasher(fmt)
+            for at in range(0, len(lines), size):
+                hasher.update(b"".join(lines[at : at + size]))
+            assert hasher.fingerprint([doc.id for doc in docs]) == whole, (fmt, size)
 
 
 def test_fingerprint_roundtrip_and_deterministic_bytes(tmp_path):
