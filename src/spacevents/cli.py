@@ -83,15 +83,10 @@ def _byte_blocks(path: str) -> Iterator[bytes]:
     """
     try:
         with open(path, "rb") as file:
-            pending: list[bytes] = []  # the start of a line that has not ended yet
             while data := file.read(1 << 16):
-                end = data.rfind(b"\n") + 1
-                if end:
-                    yield b"".join(pending) + data[:end]
-                    pending.clear()
-                pending.append(data[end:])
-            if rest := b"".join(pending):
-                yield rest
+                if not data.endswith(b"\n"):
+                    data += file.readline()  # the rest of the line the block ends in
+                yield data
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
 
@@ -105,38 +100,47 @@ def _corpus_format(path: str, fmt: str | None) -> str:
     return fmt or ("conllu" if path.endswith(".conllu") else "jsonl")
 
 
-def _documents(path: str, fmt: str | None, on_block=None) -> Iterator:
+def _documents(path: str, fmt: str | None, on_block=None, keep=None) -> Iterator:
     """Each document of the corpus at ``path``, as soon as it is parsed.
 
     The bytes are decoded a block at a time, as they are: the parsers own
-    line endings, so index offsets agree with the parsed lines.
-    ``on_block`` sees each block's bytes.  A fault is raised as a
-    whole-file read would raise it: a byte that is not UTF-8 first, then
-    a parse error, then a repeated document id (output is keyed by
+    line endings and where each document starts.  ``on_block`` sees every
+    block's bytes, whatever fault is found, and ``keep`` is the parser's
+    filter (see ``read_conllu``).  A fault is raised once the file is read,
+    as a whole-file read would raise it: a byte that is not UTF-8 first,
+    then a parse error, then a repeated document id (output is keyed by
     document and sentence id, so every command refuses one).
     """
     from .documents import _lines, read_conllu, read_jsonl
 
     def texts():
-        offset = 0
+        offset, undecodable = 0, None
         for block in _byte_blocks(path):
             if on_block is not None:
                 on_block(block)
-            yield _decode(block, path, offset)
+            if undecodable is None:
+                try:
+                    text = _decode(block, path, offset)
+                except InputError as exc:
+                    undecodable = exc  # raised once every block is seen
+                else:
+                    yield text
             offset += len(block)
+        if undecodable is not None:
+            raise undecodable
 
     read = read_conllu if _corpus_format(path, fmt) == "conllu" else read_jsonl
     blocks = texts()
     seen: set[str] = set()
     repeated = None
     try:
-        for doc in read(chain.from_iterable(map(_lines, blocks))):
+        for doc in read(chain.from_iterable(map(_lines, blocks)), keep):
             if doc.id in seen and repeated is None:
                 repeated = doc.id
             seen.add(doc.id)
             yield doc
     except InputError:
-        for _ in blocks:  # decode the rest: a byte that is not UTF-8 wins
+        for _ in blocks:  # read the rest: a byte that is not UTF-8 wins
             pass
         raise
     if repeated is not None:
@@ -248,18 +252,22 @@ def _cmd_ner(args, out, err) -> int:
 
 
 def _cmd_index(args, out, err) -> int:
-    from .index import CorpusHasher, build_index, save_index
+    import hashlib  # loads OpenSSL, which commands that take no digest need not pay for
 
-    hasher = CorpusHasher(_corpus_format(args.corpus, args.format))
+    from .index import CorpusFingerprint, build_index, save_index
+
+    digest = hashlib.sha256()
     doc_ids: list[str] = []
 
     def noted(doc):
         doc_ids.append(doc.id)
         return doc
 
-    docs = _documents(args.corpus, args.format, on_block=hasher.update)
+    docs = _documents(args.corpus, args.format, on_block=digest.update)
     index = build_index(map(noted, docs), workers=args.workers)
-    save_index(replace(index, corpus=hasher.fingerprint(doc_ids)), args.index)
+    fmt = _corpus_format(args.corpus, args.format)
+    corpus = CorpusFingerprint(format=fmt, sha256=digest.digest(), documents=tuple(doc_ids))
+    save_index(replace(index, corpus=corpus), args.index)
     print(
         f"indexed {len(doc_ids)} documents / {len(index.sentences)} sentences: "
         f"{len(index)} terms -> {args.index}",
@@ -271,17 +279,18 @@ def _cmd_index(args, out, err) -> int:
 def _candidate_documents(args, index, rules) -> Iterator:
     """Build only the rules' candidate sentences, in the documents that hold them.
 
-    The file is read once: every byte is hashed, and only the byte spans
-    of the documents with a candidate are kept.  Once the digest matches
-    the index's, each span is parsed alone, for just its candidate
-    sentences.  The index must fingerprint this very file: then every
-    skipped byte was parsed and validated in full when the index was
+    The file is read, hashed and parsed once by ``_documents``, whose
+    parser keeps only the documents at the positions where the index's
+    document table lists one with a candidate sentence, and in them only
+    those sentences.  The index must fingerprint this very file: then every
+    byte left out was parsed and validated in full when the index was
     built, duplicate document ids included, and the scan's result is
-    unchanged.
+    unchanged.  Every fault is held until the last block is hashed, so a
+    different corpus is reported first; then each kept document must carry
+    the id the table gives its position and hold every candidate sentence.
     """
     import hashlib
 
-    from .documents import _parse_conllu, _parse_jsonl
     from .matching import candidate_sentence_ids
 
     corpus = index.corpus
@@ -292,37 +301,27 @@ def _candidate_documents(args, index, rules) -> Iterator:
         )
     fmt = _corpus_format(args.corpus, args.format)
     wanted = candidate_sentence_ids(index, rules)
-    table = sorted((offset, offset + length, doc_id) for doc_id, offset, length in corpus.documents)
-    spans = [span for span in table if span[2] in wanted]
-    kept = {doc_id: bytearray() for _, _, doc_id in spans}
-    digest, size, k = hashlib.sha256(), 0, 0
-    for block in _byte_blocks(args.corpus):
-        digest.update(block)
-        end = size + len(block)
-        while k < len(spans) and spans[k][0] < end:
-            start, stop, doc_id = spans[k]
-            kept[doc_id] += block[max(start - size, 0) : stop - size]
-            if stop > end:
-                break  # the span goes on in the next block
-            k += 1
-        size = end
+    keep = {at: wanted[doc_id] for at, doc_id in enumerate(corpus.documents) if doc_id in wanted}
+    digest = hashlib.sha256()
+    kept_ids, sizes = [], []  # of each document kept, in file order
+    fault = None
+    try:
+        for doc in _documents(args.corpus, args.format, on_block=digest.update, keep=keep):
+            kept_ids.append(doc.id)
+            sizes.append(len(doc.sentences))
+            yield doc
+    except InputError as exc:
+        fault = exc
     if corpus.format != fmt or corpus.sha256 != digest.digest():
         raise InputError(f"{args.index}: built for a different corpus")
-    stops = [0] + [stop for _, stop, _ in table]
-    if any(start < stop for (start, _, _), stop in zip(table, stops)) or stops[-1] > size:
+    if fault is not None:
+        raise fault
+    positions = sorted(keep)
+    # the file's ids are unique, so as many ids kept as wanted means every one is kept
+    if kept_ids != [corpus.documents[at] for at in positions] or len(kept_ids) != len(wanted):
         raise InputError(f"{args.index}: document table does not match the corpus")
-    parse = _parse_conllu if fmt == "conllu" else _parse_jsonl
-    for doc_id, offset, _ in corpus.documents:
-        sentence_ids = wanted.pop(doc_id, None)
-        if sentence_ids is not None:
-            parsed = parse(_decode(kept.pop(doc_id), args.corpus, offset), sentence_ids)
-            if [doc.id for doc in parsed] != [doc_id]:
-                raise InputError(f"{args.index}: document table does not match the corpus")
-            if len(parsed[0].sentences) != len(sentence_ids):
-                raise InputError(f"{args.index}: sentence table does not match the corpus")
-            yield parsed[0]
-    if wanted:
-        raise InputError(f"{args.index}: document table does not match the corpus")
+    if sizes != [len(keep[at]) for at in positions]:
+        raise InputError(f"{args.index}: sentence table does not match the corpus")
 
 
 def _keeping_tagged(docs, layer, kept: list):

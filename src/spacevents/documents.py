@@ -12,10 +12,10 @@ supported and round-trip through each other:
 In both a line ends at ``\n``, after dropping one ``\r`` before it (see
 ``_lines``).  ``read_conllu`` and ``read_jsonl`` yield the documents as
 they read them, a few at a time, and the public parsers return the list.
-``document_spans`` finds each document's bytes in a corpus file without
-parsing it, so a reader can parse only the documents it needs, and
-``_parse_conllu`` and ``_parse_jsonl`` can build only some of a document's
-sentences, given their ids.
+Each parser alone decides where a document starts.  Given ``keep``, a map
+from a document's position in the file to the ids of the sentences wanted
+in it, a parser builds only those sentences of those documents, so an
+index can name them without knowing where they lie.
 
 Every loaded sentence is checked for structural sanity: exactly one edge
 per token, exactly one root, no cycles.  Edges are kept in a canonical
@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date
 from functools import cached_property, wraps
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
 from operator import attrgetter, lt
 from typing import Iterable, Iterator
 
@@ -219,8 +219,12 @@ def _line_blocks(text: str) -> Iterator[list[str]]:
     start, size = 0, len(text)
     while start < size:
         end = text.find("\n", start + _BLOCK)
-        if end < 0:
-            end = size - text.endswith("\n")  # the last line, without its newline
+        if end < 0 or end == size - 1:  # the last block, split with no copy when it is all of text
+            lines = (text[start:] if start else text).split("\n")
+            if not lines[-1]:
+                lines.pop()  # text ends with a newline
+            yield lines
+            return
         yield text[start:end].split("\n")
         start = end + 1
 
@@ -229,8 +233,7 @@ def _lines(source) -> Iterable[str]:
     """The lines of a string or line iterable, for both formats.
 
     A line ends at ``\n`` only, and one ``\r`` before it is dropped, so
-    characters such as U+2028 or U+0085 stay inside a token.  The line
-    boundaries are the ones ``document_spans`` finds in the file's bytes.
+    characters such as U+2028 or U+0085 stay inside a token.
     """
     if isinstance(source, str):
         lines = chain.from_iterable(_line_blocks(source))
@@ -278,47 +281,6 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
         except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
         yield line_no, value
-
-
-_NEWDOC_KEY = re.compile(rb"^#([^=\n]*)=", re.MULTILINE)
-
-
-def _blank(line: bytes) -> bool:
-    """Whether the decoded line is all whitespace, as ``str.strip`` sees it."""
-    head = line.lstrip()[:1]
-    if head and 0x21 <= head[0] <= 0x7E:
-        return False  # printable ASCII is never whitespace; skip the decode
-    return not line.decode("utf-8", "replace").strip()
-
-
-def document_spans(data: bytes, fmt: str) -> list[tuple[int, int]]:
-    """The (byte offset, byte length) of each document in a corpus file, in file order.
-
-    A CoNLL-U document runs from its ``# newdoc id`` line, recognised as
-    ``parse_conllu`` recognises it, to the next one or the end of the
-    file; a JSONL document is one non-blank line.  For any file the
-    parsers accept, parsing each span alone gives that document, the same
-    as parsing the whole file.  UTF-8 never puts ``\n`` or ``\r`` inside
-    a multi-byte character, so lines split the same in bytes as in text.
-    """
-    if fmt == "conllu":
-        starts = [
-            m.start()
-            for m in _NEWDOC_KEY.finditer(data)
-            if m.group(1).decode("utf-8", "replace").strip() == "newdoc id"
-        ]
-        ends = starts[1:] + [len(data)]
-        return [(start, end - start) for start, end in zip(starts, ends)]
-    spans: list[tuple[int, int]] = []
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start)
-        if end < 0:
-            end = len(data)
-        if not _blank(data[start:end]):
-            spans.append((start, end - start))
-        start = end + 1
-    return spans
 
 
 # A document's facts besides its id and sentences, in the order both formats write them.
@@ -498,27 +460,26 @@ def parse_conllu(source) -> list[Document]:
     Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
     rejected; the corpus contract is one syntactic token per line.
     """
-    return _parse_conllu(source, None)
-
-
-def _parse_conllu(source, sentence_ids) -> list[Document]:
-    """``parse_conllu``, keeping only the sentences whose id is in ``sentence_ids``."""
-    return list(read_conllu(_lines(source), sentence_ids))
+    return list(read_conllu(_lines(source)))
 
 
 @_collector_paused
-def read_conllu(lines: Iterable[str], sentence_ids=None) -> Iterator[Document]:
+def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
     """Each document of CoNLL-U ``lines`` (as ``_lines`` gives them), in order.
 
-    A document closes at the next ``# newdoc id`` line or at the end of
-    the lines.  Documents are yielded in batches (``_collector_paused``),
-    so a fault raises before any document of its batch is yielded.  Only
-    the sentences whose id is in ``sentence_ids`` are kept; with None every
-    sentence is.  A sentence's ``# sent_id`` comes before its token lines,
-    so the token lines of a sentence left out are skipped unread; holding
-    neither id nor tokens, it closes as nothing.  What is skipped is not
-    checked: filter only text that parses in full.
+    A document starts at a ``# newdoc id`` line and closes at the next one
+    or at the end of the lines.  Documents are yielded in batches
+    (``_collector_paused``), so a fault raises before any document of its
+    batch is yielded.  With ``keep``, only the documents whose position
+    (counted from 0) is a key are yielded, each with just the sentences
+    whose id is in its value.  A sentence's ``# sent_id`` comes before its
+    token lines, so the token lines of a sentence left out, or of any
+    sentence of a document left out, are skipped unread; holding neither
+    id nor tokens, it closes as nothing.  What is skipped is not checked:
+    filter only text that parses in full.
     """
+    position = -1  # of the current document
+    wanted = None  # the ids of the current document's sentences to keep, None for all
     doc_meta: dict | None = None
     sentences: list[Sentence] = []
     sent_ids: set[str] = set()
@@ -547,7 +508,9 @@ def read_conllu(lines: Iterable[str], sentence_ids=None) -> Iterator[Document]:
 
     def close_doc() -> Document | None:
         nonlocal doc_meta, sentences, sent_ids
-        doc = None if doc_meta is None else Document(sentences=sentences, **doc_meta)
+        doc = None
+        if doc_meta is not None and (keep is None or position in keep):
+            doc = Document(sentences=sentences, **doc_meta)
         doc_meta, sentences, sent_ids = None, [], set()
         return doc
 
@@ -575,9 +538,12 @@ def read_conllu(lines: Iterable[str], sentence_ids=None) -> Iterator[Document]:
                     doc = close_doc()
                     if doc is not None:
                         yield doc
+                    position += 1
+                    if keep is not None:
+                        wanted = keep.get(position, ())
                     doc_meta = {"id": value}
                 elif key == "sent_id":
-                    skip = sentence_ids is not None and value not in sentence_ids
+                    skip = wanted is not None and value not in wanted
                     # a sentence left out gets neither id nor tokens, so
                     # close_sentence passes over it
                     sent_id = None if skip else value
@@ -766,7 +732,7 @@ def _read_sentences(
     return sentences
 
 
-def _doc_from_dict(obj, line: int, shared: tuple, sentence_ids) -> Document:
+def _doc_from_dict(obj, line: int, shared: tuple, wanted) -> Document:
     if type(obj) is not dict:
         raise SchemaError(f"line {line}: document record must be an object")
     doc_id = obj.get("id")
@@ -782,39 +748,42 @@ def _doc_from_dict(obj, line: int, shared: tuple, sentence_ids) -> Document:
     raw_sentences = obj.get("sentences")
     if type(raw_sentences) is not list:
         raise _refused(obj, "sentences", line)
-    if sentence_ids is not None:
-        # a forged index may point this parse at any JSON: what is not a
-        # sentence with a string id is left out, and the caller's count refuses it
+    if wanted is not None:
+        # what is not a sentence with a string id is left out unchecked, as a
+        # sentence whose id is not wanted is
         raw_sentences = [
             raw
             for raw in raw_sentences
-            if type(raw) is dict and type(raw.get("id")) is str and raw["id"] in sentence_ids
+            if type(raw) is dict and type(raw.get("id")) is str and raw["id"] in wanted
         ]
     return Document(doc_id, _read_sentences(raw_sentences, line, doc_id, shared), **facts)
 
 
 def parse_jsonl_documents(source) -> list[Document]:
     """Parse JSON-lines text (a string or a line iterable) into documents."""
-    return _parse_jsonl(source, None)
-
-
-def _parse_jsonl(source, sentence_ids) -> list[Document]:
-    """``parse_jsonl_documents``, keeping only the sentences whose id is in ``sentence_ids``."""
-    return list(read_jsonl(_lines(source), sentence_ids))
+    return list(read_jsonl(_lines(source)))
 
 
 @_collector_paused
-def read_jsonl(lines: Iterable[str], sentence_ids=None) -> Iterator[Document]:
+def read_jsonl(lines: Iterable[str], keep=None) -> Iterator[Document]:
     """Each document of JSON ``lines`` (as ``_lines`` gives them), in order and in batches.
 
-    Only the sentences whose id is in ``sentence_ids`` are kept; with None
-    every sentence is.  Each record is read whole, but only the sentences
-    kept become objects.  What is left out is not checked: filter only
-    text that parses in full.
+    A document is a line that ``json_lines`` does not pass over as blank.
+    With ``keep``, only the documents whose position (counted from 0) is a
+    key are yielded, each with just the sentences whose id is in its
+    value: a line left out is blanked before it is decoded, so line
+    numbers stay right, and a record kept is read whole, but only the
+    sentences kept become objects.  What is left out is not checked:
+    filter only text that parses in full.
     """
     shared = _sharing()
-    for line_no, obj in json_lines(lines):
-        yield _doc_from_dict(obj, line_no, shared, sentence_ids)
+    wanted = repeat(None)
+    if keep is not None:
+        position = count().__next__  # called on each line that is not blank
+        lines = (line if not line.strip() or position() in keep else "" for line in lines)
+        wanted = map(keep.__getitem__, sorted(keep))
+    for (line_no, obj), ids in zip(json_lines(lines), wanted):
+        yield _doc_from_dict(obj, line_no, shared, ids)
 
 
 def document_to_dict(doc: Document) -> dict:

@@ -15,16 +15,17 @@ each posting list in one step.  ``refs`` turns a posting list back into
 refs.
 
 An index may also carry the ``CorpusFingerprint`` of the file it was
-built from: its format, the ``sha256`` of its bytes, and where each
-document lies in it.  With it a reader that finds the same hash can
-build only the sentences it needs, parsed from the documents that hold
-them, because every other byte is known to be what the index was built
-from.  ``build_index`` leaves it unset.
+built from: its format, the ``sha256`` of its bytes, and the ids of its
+documents in file order.  With it a reader that finds the same hash can
+build only the sentences it needs, in the documents at the positions that
+hold them, because every other byte is known to be what the index was
+built from.  Only the parsers find where a document starts.
+``build_index`` leaves the fingerprint unset.
 
 On-disk layout, all integers little-endian:
 
     magic    6 bytes   b"SEVIDX"
-    version  u16       currently 2
+    version  u16       currently 3
     n_refs   u32
     refs     n_refs x (u16 + utf-8 doc id, u16 + utf-8 sentence id)
     n_terms  u32
@@ -33,11 +34,12 @@ On-disk layout, all integers little-endian:
              the index has no fingerprint and the file ends here
     sha256   32 bytes  digest of the corpus file
     n_docs   u32
-    docs     n_docs x (u16 + utf-8 doc id, u64 byte offset, u64 byte length)
+    docs     n_docs x (u16 + utf-8 doc id), in file order
 
-Refs, terms and documents are sorted by id, so the same corpus file
-always serializes to the same bytes.  A version 1 file, which has no
-fingerprint, is refused with a request to rebuild it.
+Refs and terms are sorted by id, so the same corpus file always
+serializes to the same bytes.  A file of an earlier version (1 had no
+fingerprint, 2 located documents by byte offset) is refused with a
+request to rebuild it.
 """
 
 from __future__ import annotations
@@ -48,16 +50,16 @@ from array import array
 from dataclasses import dataclass
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .documents import Document, document_spans
-from .errors import InputError, SpaceventsError
+from .documents import Document
+from .errors import InputError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rules import Atom, Rule
 
 MAGIC = b"SEVIDX"
-VERSION = 2
+VERSION = 3
 
 Ref = tuple[str, str]  # (doc id, sentence id)
 
@@ -70,51 +72,7 @@ class CorpusFingerprint:
 
     format: str  # "conllu" or "jsonl"
     sha256: bytes  # digest of the file's bytes
-    documents: tuple[tuple[str, int, int], ...]  # (doc id, byte offset, byte length), by id
-
-
-class CorpusHasher:
-    """The fingerprint of a corpus file, read block by block as ``hashlib`` reads one.
-
-    ``update`` takes the file's bytes in order, in blocks that each end at
-    a line end (the last may not); ``fingerprint`` names the documents.
-    """
-
-    def __init__(self, fmt: str):
-        import hashlib  # loads OpenSSL, which commands that take no digest need not pay for
-
-        self.format = fmt
-        self._digest = hashlib.sha256()
-        self._spans: list[tuple[int, int]] = []
-        self._size = 0
-
-    def update(self, block: bytes) -> None:
-        self._digest.update(block)
-        self._spans += [(self._size + at, n) for at, n in document_spans(block, self.format)]
-        self._size += len(block)
-
-    def fingerprint(self, doc_ids: Sequence[str]) -> CorpusFingerprint:
-        """The fingerprint, for the documents the bytes parsed to, ``doc_ids`` in file order."""
-        spans = self._spans
-        if self.format == "conllu":  # a document runs on to the next one, across blocks
-            ends = [start for start, _ in spans[1:]] + [self._size]
-            spans = [(start, end - start) for (start, _), end in zip(spans, ends)]
-        if len(spans) != len(doc_ids):
-            raise SpaceventsError(
-                f"found {len(spans)} document spans for {len(doc_ids)} parsed documents"
-            )
-        return CorpusFingerprint(
-            format=self.format,
-            sha256=self._digest.digest(),
-            documents=tuple(sorted((doc_id, *span) for doc_id, span in zip(doc_ids, spans))),
-        )
-
-
-def corpus_fingerprint(data: bytes, fmt: str, doc_ids: Sequence[str]) -> CorpusFingerprint:
-    """Fingerprint corpus file bytes whose documents parsed to ``doc_ids``, in file order."""
-    hasher = CorpusHasher(fmt)
-    hasher.update(data)
-    return hasher.fingerprint(doc_ids)
+    documents: tuple[str, ...]  # doc ids, in file order
 
 
 @dataclass(frozen=True)
@@ -226,9 +184,7 @@ def save_index(index: InvertedIndex, path) -> None:
     if corpus is not None:
         chunks.append(corpus.sha256)
         chunks.append(struct.pack("<I", len(corpus.documents)))
-        for doc_id, offset, length in corpus.documents:
-            chunks.append(_string(doc_id, "identifier"))
-            chunks.append(struct.pack("<QQ", offset, length))
+        chunks.extend(_string(doc_id, "identifier") for doc_id in corpus.documents)
     try:
         Path(path).write_bytes(b"".join(chunks))
     except OSError as exc:
@@ -304,9 +260,9 @@ def load_index(path) -> InvertedIndex:
     if reader.take(len(MAGIC)) != MAGIC:
         raise InputError(f"{path}: not an index file (bad magic)")
     version = reader.unpack("<H")[0]
-    if version == 1:
+    if version < VERSION:
         raise InputError(
-            f"{path}: index version 1 does not fingerprint its corpus; "
+            f"{path}: index version {version} predates version {VERSION}; "
             "rebuild the index with 'spacevents index'"
         )
     if version != VERSION:
@@ -325,9 +281,7 @@ def load_index(path) -> InvertedIndex:
     fmt = reader.string()
     if fmt:
         digest = reader.take(32)
-        documents = tuple(
-            (reader.string(), *reader.unpack("<QQ")) for _ in range(reader.unpack("<I")[0])
-        )
+        documents = tuple(reader.string() for _ in range(reader.unpack("<I")[0]))
         corpus = CorpusFingerprint(format=fmt, sha256=digest, documents=documents)
     if not reader.done():
         raise InputError(f"{path}: trailing bytes after index data")

@@ -441,8 +441,7 @@ def _lines(source) -> Iterator[str]:
     """The lines of a string or line iterable, for both formats.
 
     A line ends at ``\n`` only, and one ``\r`` before it is dropped, so
-    characters such as U+2028 or U+0085 stay inside a token.  The line
-    boundaries are the ones ``document_spans`` finds in the file's bytes.
+    characters such as U+2028 or U+0085 stay inside a token.
     """
     if isinstance(source, str):
         lines = source.split("\n")

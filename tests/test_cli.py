@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -26,6 +27,7 @@ from spacevents import (
     serialize_jsonl_documents,
 )
 from spacevents.cli import main
+from spacevents.index import CorpusFingerprint
 from spacevents.errors import SpaceventsError
 
 from helpers import FIXTURES, load_small_corpus, random_corpus, undecodable_json_lines
@@ -134,14 +136,14 @@ def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monk
 
     # only the candidate documents are parsed, and the output is unchanged
     parsed = []
-    original = documents._parse_conllu
+    original = documents.read_conllu
 
-    def recording(text, sentence_ids):
-        docs = original(text, sentence_ids)
-        parsed.extend(doc.id for doc in docs)
-        return docs
+    def recording(lines, keep=None):
+        for doc in original(lines, keep):
+            parsed.append(doc.id)
+            yield doc
 
-    monkeypatch.setattr(documents, "_parse_conllu", recording)
+    monkeypatch.setattr(documents, "read_conllu", recording)
     code, indexed, _ = run("extract", "--corpus", str(corpus), "--index", str(index_path))
     assert code == 0
     assert parsed == ["d1", "d2"]
@@ -193,11 +195,11 @@ def test_indexed_commands_build_only_the_candidate_sentences(tmp_path, monkeypat
         assert '"doc_id":"d4","sentence_id":"launch"' in scanned[1]
 
         built = []
-        for name in ("_parse_conllu", "_parse_jsonl"):
-            def recording(text, sentence_ids, original=getattr(documents, name)):
-                docs = original(text, sentence_ids)
-                built.extend((doc.id, sent.id) for doc in docs for sent in doc.sentences)
-                return docs
+        for name in ("read_conllu", "read_jsonl"):
+            def recording(lines, keep=None, original=getattr(documents, name)):
+                for doc in original(lines, keep):
+                    built.extend((doc.id, sent.id) for sent in doc.sentences)
+                    yield doc
 
             monkeypatch.setattr(documents, name, recording)
         assert run("extract", "--corpus", str(corpus), "--index", str(index_path)) == scanned
@@ -249,9 +251,12 @@ def test_index_without_a_corpus_fingerprint_is_an_input_error(tmp_path):
     data = bytearray(version_1.read_bytes())
     data[6:8] = (1).to_bytes(2, "little")
     version_1.write_bytes(bytes(data))
+    version_2 = tmp_path / "v2.idx"
+    data[6:8] = (2).to_bytes(2, "little")
+    version_2.write_bytes(bytes(data))
     unfingerprinted = tmp_path / "library.idx"
     save_index(build_index(load_small_corpus()), unfingerprinted)
-    for index_path in (version_1, unfingerprinted):
+    for index_path in (version_1, version_2, unfingerprinted):
         for command in ("extract", "shortlist", "export-annotation"):
             code, out, err = run(command, "--corpus", CORPUS, "--index", str(index_path))
             assert code == 1, (index_path, command)
@@ -261,65 +266,64 @@ def test_index_without_a_corpus_fingerprint_is_an_input_error(tmp_path):
 
 
 def test_document_table_that_misplaces_a_document_is_an_input_error(tmp_path):
-    index_path = tmp_path / "small.idx"
-    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
-    index = load_index(index_path)
-    (d1, off1, len1), (d2, off2, len2) = index.corpus.documents
-    for documents in (((d1, off2, len2), (d2, off1, len1)), ((d1, off1, len1),)):
-        forged = replace(index, corpus=replace(index.corpus, documents=documents))
-        save_index(forged, index_path)
-        code, out, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
-        assert code == 1
-        assert err == f"error: {index_path}: document table does not match the corpus\n"
-
-
-def test_document_table_that_points_inside_a_token_is_an_input_error(tmp_path):
-    # a valid corpus may hold a document-shaped object in a token's extra field
-    text = serialize_jsonl_documents(load_small_corpus())
-    for embedded in ('{"id":"d1","sentences":[7]}', '{"id":"d1","sentences":[{"id":["s1"]}]}'):
-        corpus = tmp_path / "extra.jsonl"
-        corpus.write_text(text.replace('{"surface":', f'{{"x":{embedded},"surface":', 1),
-                          encoding="utf-8")
-        index_path = tmp_path / "extra.idx"
-        assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
-        index = load_index(index_path)
-        offset = corpus.read_bytes().index(embedded.encode())
-        (d1, _, _), *rest = index.corpus.documents
-        documents = ((d1, offset, len(embedded)), *rest)
-        save_index(replace(index, corpus=replace(index.corpus, documents=documents)), index_path)
-        code, out, err = run("extract", "--corpus", str(corpus), "--index", str(index_path))
-        assert (code, out) == (1, ""), err
-        assert err == f"error: {index_path}: sentence table does not match the corpus\n"
-
-
-def test_document_table_with_overlapping_spans_or_spans_past_the_end_is_an_input_error(
-    tmp_path,
-):
-    index_path = tmp_path / "small.idx"
-    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
-    index = load_index(index_path)
-    (d1, off1, len1), (d2, off2, len2) = index.corpus.documents
-    size = Path(CORPUS).stat().st_size
-    changed = tmp_path / "changed.conllu"
-    changed.write_text(
-        Path(CORPUS).read_text(encoding="utf-8").replace("\tCape\tCape\t", "\tCap\tCap\t"),
-        encoding="utf-8",
+    # the table lists document ids in file order
+    reversed_corpus = tmp_path / "reversed.conllu"
+    reversed_corpus.write_text(serialize_conllu(load_small_corpus()[::-1]), encoding="utf-8")
+    index_path = tmp_path / "reversed.idx"
+    assert run("index", "--corpus", str(reversed_corpus), "--index", str(index_path))[0] == 0
+    assert load_index(index_path).corpus == CorpusFingerprint(
+        "conllu", hashlib.sha256(reversed_corpus.read_bytes()).digest(), ("d2", "d1")
     )
-    forgeries = [
-        ((d1, off1, len1 + 10), (d2, off2, len2)),  # d1 runs into d2
-        ((d1, off1, len1), (d2, off2, len2 + 1)),  # d2 runs past the end of the file
-        ((d1, off1, len1), (d2, size + 5, len2)),  # d2 starts past it
-    ]
-    for documents in forgeries:
+    indexed = run("extract", "--corpus", str(reversed_corpus), "--index", str(index_path))
+    assert indexed == run("extract", "--corpus", CORPUS)
+
+    index_path = tmp_path / "small.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
+    index = load_index(index_path)
+    assert index.corpus.documents == ("d1", "d2")
+    # ids swapped, a candidate document renamed, one missing, one past the end
+    for documents in (("d2", "d1"), ("d1", "d9"), ("d1",), ("d0", "d1", "d2")):
         forged = replace(index, corpus=replace(index.corpus, documents=documents))
         save_index(forged, index_path)
         code, out, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
         assert (code, out) == (1, ""), documents
         assert err == f"error: {index_path}: document table does not match the corpus\n"
-        # the digest is checked first
-        code, out, err = run("extract", "--corpus", str(changed), "--index", str(index_path))
-        assert (code, out) == (1, "")
-        assert err == f"error: {index_path}: built for a different corpus\n"
+
+
+def test_the_digest_is_checked_before_the_tables_and_the_corpus_itself(tmp_path):
+    jsonl = tmp_path / "small.jsonl"
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    # each edit is in d1, a candidate document: it still parses, no longer
+    # parses, or now holds a byte that is not UTF-8
+    edits = {
+        Path(CORPUS): (b"\tCape\tCape\tPROPN\tNNP\t_\t9\t", [
+            b"\tCap\tCap\tPROPN\tNNP\t_\t9\t",
+            b"\tCape\tCape\tPROPN\tNNP\t_\tx\t",
+            b"\tCap\xe9\tCape\tPROPN\tNNP\t_\t9\t",
+        ]),
+        jsonl: (b'"surface":"Cape","lemma":"Cape"', [
+            b'"surface":"Cap","lemma":"Cap"',
+            b'"surface":7,"lemma":"Cape"',
+            b'"surface":"Cap\xe9","lemma":"Cape"',
+        ]),
+    }
+    for corpus, (old, news) in edits.items():
+        index_path = tmp_path / "small.idx"
+        assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
+        index = load_index(index_path)
+        forged_path = tmp_path / "forged.idx"
+        forged = replace(index, corpus=replace(index.corpus, documents=("d2", "d1")))
+        save_index(forged, forged_path)
+        data = corpus.read_bytes()
+        assert data.count(old) == 1
+        changed = tmp_path / f"changed{corpus.suffix}"
+        for new, ingested in zip(news, (0, 1, 1)):
+            changed.write_bytes(data.replace(old, new))
+            assert run("ingest", "--corpus", str(changed))[0] == ingested
+            for path in (index_path, forged_path):
+                code, out, err = run("extract", "--corpus", str(changed), "--index", str(path))
+                assert (code, out) == (1, ""), (changed, new)
+                assert err == f"error: {path}: built for a different corpus\n"
 
 
 def test_extract_shortlist_and_export_print_the_same_with_and_without_an_index_on_each_copy(
@@ -375,8 +379,12 @@ def _corpus_copies(tmp_path, docs):
 
 def test_commands_print_the_same_with_and_without_an_index_on_random_corpora(tmp_path):
     docs = random_corpus(random.Random(5), 150, trigger_chance=0.10, entity_chance=0.15)
+    # and a copy with the documents in another order, which the document table follows
+    shuffled = tmp_path / "shuffled.conllu"
+    shuffled.write_text(serialize_conllu(random.Random(6).sample(docs, len(docs))),
+                        encoding="utf-8")
     outputs = set()
-    for corpus in _corpus_copies(tmp_path, docs):
+    for corpus in _corpus_copies(tmp_path, docs) + [shuffled]:
         index_path = tmp_path / f"{corpus.name}.idx"
         assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
         for argv in (
@@ -430,6 +438,10 @@ def test_ingest_and_dedup_print_the_same_on_every_copy_and_refuse_a_cycle(tmp_pa
             assert code == 0 and out, (command, copy.name)
             outputs.add(out)
         assert len(outputs) == 1, command
+    # ingest reproduces the JSONL copy byte for byte
+    assert run("ingest", "--corpus", str(tmp_path / "corpus.jsonl"))[1].encode("utf-8") == (
+        tmp_path / "corpus.jsonl"
+    ).read_bytes()
     cyclic, doc_id, sent_id = _with_cycle(docs)
     (tmp_path / "cyclic").mkdir()
     problems = set()
@@ -476,6 +488,52 @@ def test_ingest_keeps_unicode_line_breaks_inside_tokens(tmp_path):
     assert code == 0
     assert parse_jsonl_documents(again) == [d1, d2]
     assert run("extract", "--corpus", str(jsonl))[1] == run("extract", "--corpus", str(conllu))[1]
+
+
+def _line_ending_copies(path: Path, directory: Path) -> list[Path]:
+    """Copies of the text file at ``path`` with CRLF and with lone CR line endings."""
+    data = path.read_bytes()
+    copies = []
+    for name, ending in (("crlf", b"\r\n"), ("cr", b"\r")):
+        copies.append(directory / f"{name}-{path.name}")
+        copies[-1].write_bytes(data.replace(b"\n", ending))
+        assert copies[-1].read_bytes() != data
+    return copies
+
+
+def test_extract_prints_the_same_with_crlf_and_lone_cr_copies_of_the_rules_and_gazetteer(
+    tmp_path,
+):
+    data = Path(spacevents.__file__).parent / "data"
+    expected = run("extract", "--corpus", CORPUS)
+    assert expected[0] == 0 and expected[1]
+    rules = _line_ending_copies(data / "reference.rules", tmp_path)
+    gazetteers = _line_ending_copies(data / "gazetteer.tsv", tmp_path)
+    for rules_copy, gazetteer_copy in zip(rules, gazetteers):
+        argv = ("--rules", str(rules_copy), "--gazetteer", str(gazetteer_copy))
+        assert run("extract", "--corpus", CORPUS, *argv) == expected, rules_copy.name
+
+
+def test_score_stats_and_errors_print_the_same_on_crlf_and_lone_cr_copies(tmp_path, score_files):
+    gold, pred = map(Path, score_files)
+    fixture = FIXTURES / "annotation_stats.jsonl"
+    copies = [(gold, pred, fixture)] + list(zip(*(
+        _line_ending_copies(path, tmp_path) for path in (gold, pred, fixture)
+    )))
+    outputs = []
+    for gold_copy, pred_copy, fixture_copy in copies:
+        json_path = tmp_path / "report.json"
+        printed = []
+        for argv in (
+            ("score", "--gold", str(gold_copy), "--pred", str(pred_copy)),
+            ("errors", "--gold", str(gold_copy), "--pred", str(pred_copy)),
+            ("stats", "--annotations", str(fixture_copy)),
+        ):
+            code, out, err = run(*argv, "--json", str(json_path))
+            assert code == 0 and out, (argv, err)
+            printed.append((out, err, json_path.read_bytes()))
+        outputs.append(printed)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_worker_count_is_invisible_in_output():
@@ -555,6 +613,25 @@ def test_a_byte_that_is_not_utf8_anywhere_wins_then_a_parse_error(tmp_path):
         for argv in _corpus_commands(index_path):
             assert run(*argv, "--corpus", str(corpus)) == (1, "", f"error: {problem}\n"), argv
             assert not index_path.exists()
+
+
+def test_every_block_of_the_corpus_is_read_before_a_fault_is_raised(tmp_path):
+    from spacevents.cli import _documents
+
+    filler = serialize_conllu(random_corpus(random.Random(29), 400)).encode("utf-8")
+    assert len(filler) > 2 << 16  # three blocks or more
+    token = b"1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n"
+    corpus = tmp_path / "corpus.conllu"
+    for first, problem in (
+        (b"# newdoc id = caf\xe9\n", f"{corpus}: not UTF-8 text (byte 17)"),
+        (b"# newdoc id = d\n# sent_id = s\n1\tword\n\n", "line 3: expected 10"),
+    ):
+        corpus.write_bytes(first + token + filler)
+        blocks = []
+        with pytest.raises(SpaceventsError) as caught:
+            list(_documents(str(corpus), None, on_block=blocks.append))
+        assert str(caught.value).startswith(problem)
+        assert len(blocks) > 2 and b"".join(blocks) == corpus.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["conllu", "jsonl"])
@@ -1036,6 +1113,14 @@ def test_malformed_corpus_reports_line(tmp_path):
     code, _, err = run("validate", "--corpus", str(bad))
     assert code == 1
     assert "error: line 3" in err
+    # the third sentence, on line 9 under a second document, has no '# sent_id'
+    token = "1\ta\ta\tX\t_\t_\t0\troot\t_\t_"
+    lines = ["# newdoc id = d", "# sent_id = a", token, "", "# sent_id = b", token, "",
+             "# newdoc id = e", token]
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("ingest", "--corpus", str(bad)) == (
+        1, "", "error: line 9: sentence is missing a '# sent_id' comment\n"
+    )
 
 
 def test_undecodable_json_lines_are_input_errors(tmp_path):

@@ -23,10 +23,9 @@ from spacevents import (
 import spacevents.documents as documents
 from spacevents.documents import (
     _lines,
-    _parse_conllu,
-    _parse_jsonl,
-    document_spans,
     document_to_dict,
+    read_conllu,
+    read_jsonl,
     sentence_issues,
     text_lines,
 )
@@ -208,70 +207,61 @@ def test_lone_carriage_return_line_endings_are_rejected():
 
 
 # ---------------------------------------------------------------------------
-# document spans
+# where documents start, and the filter that keeps some of them
+
+READERS = {"conllu": read_conllu, "jsonl": read_jsonl}
 
 
-def _parse(text, fmt):
-    return parse_conllu(text) if fmt == "conllu" else parse_jsonl_documents(text)
-
-
-def assert_spans_parse_alone(data: bytes, fmt: str):
-    """Each document span parses alone to that document, in the whole file's order."""
-    whole = _parse(data.decode("utf-8"), fmt)
-    spans = document_spans(data, fmt)
-    assert len(spans) == len(whole)
-    for (offset, length), doc in zip(spans, whole):
-        assert _parse(data[offset : offset + length].decode("utf-8"), fmt) == [doc]
-    return spans
-
-
-def test_document_spans_agree_with_a_full_parse_on_random_corpora():
-    rng = random.Random(31)
-    for trial in range(12):
-        docs = random_corpus(
-            rng, rng.randint(0, 12), trigger_chance=0.1, entity_chance=0.1, dated=trial % 2 == 0
-        )
-        for text, fmt in (
-            (serialize_conllu(docs), "conllu"),
-            (serialize_jsonl_documents(docs), "jsonl"),
-        ):
-            for variant in (text, text.replace("\n", "\r\n"), text.rstrip("\n")):
-                data = variant.encode("utf-8")
-                spans = assert_spans_parse_alone(data, fmt)
-                assert [o for o, _ in spans] == sorted(o for o, _ in spans)
-
-
-def test_conllu_spans_start_at_newdoc_lines_as_the_parser_reads_them():
+def test_conllu_documents_start_at_newdoc_lines_however_spelled():
     doc = "# sent_id = s\n1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n"
-    data = (
+    text = (
         "# preamble comment\n\n# key = value\n"
         "#newdoc id=a\n" + doc + "\n# between documents\n# source = late\n\n"
         "#\t newdoc id\u00a0 = b\r\n# split = dev\n" + doc + "\n"
         "# newdoc id = c\n" + doc + "\n\n"
-    ).encode("utf-8")
-    spans = assert_spans_parse_alone(data, "conllu")
-    assert parse_conllu(data.decode())[0].source == "late"
-    assert [data[o : o + n].split(b"\n", 1)[0] for o, n in spans] == [
-        b"#newdoc id=a", "#\t newdoc id\u00a0 = b\r".encode(), b"# newdoc id = c"
-    ]
-    assert sum(n for _, n in spans) == len(data) - data.index(b"#newdoc")
-    assert document_spans(b"", "conllu") == []
+    )
+    a, b, c = parse_conllu(text)
+    assert [a.id, b.id, c.id] == ["a", "b", "c"]
+    # a fact after a sentence is still its document's
+    assert (a.source, b.split, c.source) == ("late", "dev", None)
+    kept = list(read_conllu(_lines(text), {1: {"s"}, 2: set()}))
+    assert kept == [b, replace(c, sentences=())]
+    assert parse_conllu("") == list(read_conllu(_lines(""), {0: {"s"}})) == []
 
 
-def test_jsonl_spans_skip_lines_the_parser_reads_as_blank():
-    docs = serialize_jsonl_documents(load_small_corpus()).splitlines()
-    data = (
-        "\n  \t\n\u2028\x1c\u00a0\n" + docs[0] + "\r\n\r\n \u3000\n  " + docs[1] + "\u2028"
-    ).encode("utf-8")
-    spans = assert_spans_parse_alone(data, "jsonl")
-    assert len(spans) == 2
-    assert document_spans(b"", "jsonl") == document_spans(b"\n \n", "jsonl") == []
+def test_jsonl_lines_of_unicode_whitespace_hold_no_document():
+    first, second = serialize_jsonl_documents(load_small_corpus()).splitlines()
+    text = "\n  \t\n\u2028\x1c\u00a0\n" + first + "\r\n\r\n \u3000\n  " + second + "\u2028"
+    d1, d2 = load_small_corpus()
+    assert parse_jsonl_documents(text) == [d1, d2]
+    # the filter counts positions as the parser counts documents
+    assert list(read_jsonl(_lines(text), {1: {"s1", "s2"}})) == [d2]
+    assert list(read_jsonl(_lines(text), {0: {"s2"}})) == [replace(d1, sentences=d1.sentences[1:])]
+    assert parse_jsonl_documents("") == parse_jsonl_documents("\n \n") == []
+    # a line left out is never decoded, and a kept line keeps its number
+    broken = text.replace(first, "{not json").replace(second, second.replace('"id":"d2"', '"id":7'))
+    with pytest.raises(SchemaError, match="^line 7: field id has the wrong type$"):
+        list(read_jsonl(_lines(broken), {1: {"s1"}}))
 
 
-def test_a_document_span_parsed_for_some_sentence_ids_holds_just_those():
+def _with_blank_lines(rng, text, fmt):
+    """``text`` with blank lines added where they change nothing.
+
+    A CoNLL-U blank line goes before a comment line, where no sentence is
+    open; a JSONL one holds whitespace that ``str.strip`` removes.
+    """
+    lines = []
+    for line in text.split("\n"):
+        if rng.random() < 0.3 and (fmt == "jsonl" or line.startswith("#")):
+            lines.append(rng.choice(("", " ", "\t")) if fmt == "conllu" else
+                         rng.choice(("", " ", "\u3000", "\x1c\u2028")))
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def test_a_filtered_parse_is_the_full_parse_restricted_to_what_it_keeps():
     rng = random.Random(47)
-    parsers = {"conllu": _parse_conllu, "jsonl": _parse_jsonl}
-    for trial in range(10):
+    for trial in range(12):
         docs = [
             replace(doc, source=f"feed{d}", split=rng.choice(SPLITS)) if d % 3 == 1 else doc
             for d, doc in enumerate(random_corpus(
@@ -279,24 +269,28 @@ def test_a_document_span_parsed_for_some_sentence_ids_holds_just_those():
                 entity_chance=0.1, dated=trial % 2 == 0,
             ))
         ]
-        conllu = serialize_conllu(docs)
+        conllu = _with_blank_lines(rng, serialize_conllu(docs), "conllu")
         for text, fmt in (
             (conllu, "conllu"),
-            (serialize_jsonl_documents(docs), "jsonl"),
+            (_with_blank_lines(rng, serialize_jsonl_documents(docs), "jsonl"), "jsonl"),
             (conllu.replace("\n", "\r\n"), "conllu"),
         ):
-            data = text.encode("utf-8")
-            whole = _parse(text, fmt)
-            assert whole == docs
-            for (offset, length), doc in zip(document_spans(data, fmt), whole):
-                ids = [sent.id for sent in doc.sentences]
-                wanted = set(rng.sample(ids, rng.randint(1, len(ids))))
-                parsed = parsers[fmt](data[offset : offset + length].decode("utf-8"), wanted)
-                kept = tuple(sent for sent in doc.sentences if sent.id in wanted)
-                assert parsed == [replace(doc, sentences=kept)]
-                assert [sent.id for sent in parsed[0].sentences] == [
-                    sent_id for sent_id in ids if sent_id in wanted
-                ]
+            assert list(READERS[fmt](_lines(text))) == docs
+            keep = {}
+            for at, doc in enumerate(docs):
+                if rng.random() < 0.6:
+                    ids = [sent.id for sent in doc.sentences]
+                    keep[at] = set(rng.sample(ids, rng.randint(0, len(ids))))
+                    if rng.random() < 0.2:
+                        keep[at].add("absent")
+            if rng.random() < 0.3:
+                keep[len(docs) + rng.randint(0, 2)] = {"s0"}  # past the last document
+            expected = [
+                replace(doc, sentences=tuple(s for s in doc.sentences if s.id in keep[at]))
+                for at, doc in enumerate(docs)
+                if at in keep
+            ]
+            assert list(READERS[fmt](_lines(text), keep)) == expected, (fmt, keep)
 
 
 def _conllu(*lines):

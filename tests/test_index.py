@@ -11,11 +11,9 @@ from spacevents import (
     load_index,
     parse_rules,
     save_index,
-    serialize_conllu,
-    serialize_jsonl_documents,
 )
-from spacevents.index import MAGIC, CorpusFingerprint, CorpusHasher, corpus_fingerprint
-from spacevents.errors import InputError, SpaceventsError
+from spacevents.index import MAGIC, CorpusFingerprint
+from spacevents.errors import InputError
 
 from helpers import (
     FIXTURES,
@@ -151,34 +149,10 @@ def _fingerprinted(docs=None):
     """The small corpus's index, fingerprinted; ``docs`` is the corpus in another order."""
     data = FIXTURES.joinpath("small.conllu").read_bytes()
     in_file_order = load_small_corpus()
-    corpus = corpus_fingerprint(data, "conllu", [doc.id for doc in in_file_order])
+    corpus = CorpusFingerprint(
+        "conllu", hashlib.sha256(data).digest(), tuple(doc.id for doc in in_file_order)
+    )
     return replace(build_index(in_file_order if docs is None else docs), corpus=corpus)
-
-
-def test_corpus_fingerprint_hashes_and_locates_every_document():
-    data = FIXTURES.joinpath("small.conllu").read_bytes()
-    corpus = _fingerprinted().corpus
-    assert corpus.format == "conllu"
-    assert corpus.sha256 == hashlib.sha256(data).digest()
-    start_d2 = data.index(b"# newdoc id = d2")
-    assert corpus.documents == (("d1", 0, start_d2), ("d2", start_d2, len(data) - start_d2))
-    with pytest.raises(SpaceventsError, match="found 2 document spans for 1 parsed documents"):
-        corpus_fingerprint(data, "conllu", ["d1"])
-
-
-def test_a_fingerprint_read_in_blocks_of_whole_lines_is_the_one_read_whole():
-    docs = load_small_corpus() + random_corpus(random.Random(41), 5)
-    conllu = serialize_conllu(docs)
-    for text, fmt in ((conllu, "conllu"), (conllu.replace("\n", "\r\n"), "conllu"),
-                      (serialize_jsonl_documents(docs), "jsonl")):
-        data = text.encode("utf-8")
-        whole = corpus_fingerprint(data, fmt, [doc.id for doc in docs])
-        lines = data.splitlines(keepends=True)
-        for size in (1, 2, 5):
-            hasher = CorpusHasher(fmt)
-            for at in range(0, len(lines), size):
-                hasher.update(b"".join(lines[at : at + size]))
-            assert hasher.fingerprint([doc.id for doc in docs]) == whole, (fmt, size)
 
 
 def test_fingerprint_roundtrip_and_deterministic_bytes(tmp_path):
@@ -188,11 +162,16 @@ def test_fingerprint_roundtrip_and_deterministic_bytes(tmp_path):
     assert load_index(a) == index
     save_index(_fingerprinted(list(reversed(load_small_corpus()))), b)
     assert a.read_bytes() == b.read_bytes()
-    # the fingerprint is appended after the terms of an index without one
+    # the fingerprint is appended after the terms of an index without one,
+    # and its document table lists ids in file order, not sorted
     save_index(replace(index, corpus=None), b)
     plain = b.read_bytes()
     assert plain.endswith(b"\x00\x00")
     assert a.read_bytes().startswith(plain[:-2])
+    unsorted = replace(index, corpus=replace(index.corpus, documents=("d2", "d1")))
+    save_index(unsorted, b)
+    assert load_index(b) == unsorted
+    assert b.read_bytes().endswith(b"\x02\x00\x00\x00\x02\x00d2\x02\x00d1")
 
 
 def test_version_1_files_ask_for_a_rebuild(tmp_path):
@@ -203,6 +182,20 @@ def test_version_1_files_ask_for_a_rebuild(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(InputError, match="index version 1 .*rebuild the index"):
         load_index(path)
+
+
+def test_version_2_files_ask_for_a_rebuild(tmp_path):
+    path = tmp_path / "old.idx"
+    save_index(_fingerprinted(), path)
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC) : len(MAGIC) + 2] = (2).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputError) as caught:
+        load_index(path)
+    assert str(caught.value) == (
+        f"{path}: index version 2 predates version 3; "
+        "rebuild the index with 'spacevents index'"
+    )
 
 
 def test_load_rejects_corrupt_files(tmp_path):
@@ -228,7 +221,7 @@ def test_load_rejects_corrupt_files(tmp_path):
 
     save_index(_fingerprinted(), good)
     data = good.read_bytes()
-    for cut in (1, 20, 40):  # inside the document table, the digest, the format
+    for cut in (1, 20, 48):  # inside the document table, the digest, the format
         path.write_bytes(data[:-cut])
         with pytest.raises(InputError, match="truncated"):
             load_index(path)
