@@ -147,23 +147,17 @@ def _documents(path: str, fmt: str | None, on_block=None, keep=None) -> Iterator
         raise InputError(f"{path}: duplicate document id {repeated!r}")
 
 
-def _packaged(name: str) -> str:
-    from importlib import resources
-
-    return resources.files("spacevents").joinpath("data", name).read_text("utf-8")
-
-
 def _load_gazetteer(path: str | None):
     from .gazetteer import compile_gazetteer, read_gazetteer
 
-    text = _read_text(path) if path else _packaged("gazetteer.tsv")
+    text = _read_text(path or str(Path(__file__).with_name("data") / "gazetteer.tsv"))
     return compile_gazetteer(read_gazetteer(text))
 
 
 def _load_rules(path: str | None):
     from .rules import parse_rules
 
-    text = _read_text(path) if path else _packaged("reference.rules")
+    text = _read_text(path or str(Path(__file__).with_name("data") / "reference.rules"))
     return parse_rules(text)
 
 

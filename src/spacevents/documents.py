@@ -28,9 +28,10 @@ inverse ``_fact_texts`` serves both writers, and one sentence check,
 links must pass ``_is_tree``, a single-pass test that builds no message;
 only a sentence that fails it goes to ``sentence_issues``, which owns
 every structure message.  A refused sentence is reported at its first
-line, with its document.  Each JSON line, here and in annotation files,
-is decoded by ``json_lines``; a JSONL record is read once, by
-``_doc_from_dict`` and the sentence reader it calls, ``_read_sentences``:
+line, with its document.  ``json_lines`` alone decides which lines of a
+JSON-lines file, here or of annotations, are records; ``json_value``
+decodes each.  A JSONL record is read once, by ``_doc_from_dict`` and
+``_read_sentences``, which passes over a sentence ``keep`` leaves out:
 each value's exact JSON type is checked in record order, and only the
 first value refused builds a message, through ``_refused``, raised where
 the value is found.  Within one parse call, equal tokens, equal edges and
@@ -48,7 +49,7 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date
 from functools import cached_property, wraps
-from itertools import chain, count, islice, repeat
+from itertools import islice
 from operator import attrgetter, lt
 from typing import Iterable, Iterator
 
@@ -210,25 +211,6 @@ def _is_tree(heads: list[int]) -> bool:
     return max(heads) < n and _cycle_token(heads) is None
 
 
-# Characters of a string split into lines at a time, so no list of every line is held.
-_BLOCK = 1 << 16
-
-
-def _line_blocks(text: str) -> Iterator[list[str]]:
-    """The lines of ``text``, a list per block of about ``_BLOCK`` characters."""
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _BLOCK)
-        if end < 0 or end == size - 1:  # the last block, split with no copy when it is all of text
-            lines = (text[start:] if start else text).split("\n")
-            if not lines[-1]:
-                lines.pop()  # text ends with a newline
-            yield lines
-            return
-        yield text[start:end].split("\n")
-        start = end + 1
-
-
 def _lines(source) -> Iterable[str]:
     """The lines of a string or line iterable, for both formats.
 
@@ -236,7 +218,9 @@ def _lines(source) -> Iterable[str]:
     characters such as U+2028 or U+0085 stay inside a token.
     """
     if isinstance(source, str):
-        lines = chain.from_iterable(_line_blocks(source))
+        lines = source.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline, or is empty
         if "\r" not in source:
             return lines
     else:
@@ -261,26 +245,34 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
-    """Each non-blank line's number, counted from 1, and the JSON value it holds.
+def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each record line's number, counted from 1, and its text, stripped.
+
+    A line is a record unless ``str.strip`` leaves it empty, as it does a
+    line of Unicode whitespace such as U+3000; ``json_value`` decodes one.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line:
+            yield line_no, line
+
+
+def json_value(line: str, line_no: int):
+    """The JSON value of record ``line``, line ``line_no`` of its file.
 
     Besides what ``json.loads`` refuses, a line is invalid JSON when its value
     nests too deeply, holds an integer past Python's digit limit, or holds a
     lone surrogate, which no UTF-8 output can write: a value is re-encoded to
     look for one only when its line has a ``\\u`` escape that may spell one.
     """
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            value = json.loads(line)
-            if "\\" in line and _SURROGATE_ESCAPE.search(line):
-                if _SURROGATE.search(json.dumps(value, ensure_ascii=False)):
-                    raise ValueError("lone surrogate in a string")
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-            raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
-        yield line_no, value
+    try:
+        value = json.loads(line)
+        if "\\" in line and _SURROGATE_ESCAPE.search(line):
+            if _SURROGATE.search(json.dumps(value, ensure_ascii=False)):
+                raise ValueError("lone surrogate in a string")
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
+    return value
 
 
 # A document's facts besides its id and sentences, in the order both formats write them.
@@ -657,12 +649,14 @@ def _refused(obj: dict, key: str, line: int, path: str = "") -> SchemaError:
 
 
 def _read_sentences(
-    raw_sentences: list, line: int, doc_id: str, shared: tuple
+    raw_sentences: list, line: int, doc_id: str, shared: tuple, wanted
 ) -> list[Sentence]:
     """A JSONL record's sentences, raising the message of the first value refused.
 
     Each value is checked once, in record order, for its exact JSON type
     (``type(x) is``), and a message is built only for the value refused.
+    With ``wanted``, a set of ids, a sentence whose id is not in it is
+    passed over once its object and id are checked.
     An empty surface, or edges that do not give each token one head, are
     not refused on sight: they keep the sentence from the ``_is_tree``
     test, so ``_sentence`` has ``sentence_issues`` explain it after its
@@ -677,6 +671,8 @@ def _read_sentences(
         sent_id = raw_sent.get("id")
         if type(sent_id) is not str:
             raise _refused(raw_sent, "id", line, f"sentences[{i}].")
+        if wanted is not None and sent_id not in wanted:
+            continue
         raw_tokens = raw_sent.get("tokens")
         if type(raw_tokens) is not list:
             raise _refused(raw_sent, "tokens", line, f"sentences[{i}].")
@@ -748,15 +744,7 @@ def _doc_from_dict(obj, line: int, shared: tuple, wanted) -> Document:
     raw_sentences = obj.get("sentences")
     if type(raw_sentences) is not list:
         raise _refused(obj, "sentences", line)
-    if wanted is not None:
-        # what is not a sentence with a string id is left out unchecked, as a
-        # sentence whose id is not wanted is
-        raw_sentences = [
-            raw
-            for raw in raw_sentences
-            if type(raw) is dict and type(raw.get("id")) is str and raw["id"] in wanted
-        ]
-    return Document(doc_id, _read_sentences(raw_sentences, line, doc_id, shared), **facts)
+    return Document(doc_id, _read_sentences(raw_sentences, line, doc_id, shared, wanted), **facts)
 
 
 def parse_jsonl_documents(source) -> list[Document]:
@@ -768,22 +756,18 @@ def parse_jsonl_documents(source) -> list[Document]:
 def read_jsonl(lines: Iterable[str], keep=None) -> Iterator[Document]:
     """Each document of JSON ``lines`` (as ``_lines`` gives them), in order and in batches.
 
-    A document is a line that ``json_lines`` does not pass over as blank.
-    With ``keep``, only the documents whose position (counted from 0) is a
+    A document is a record of ``json_lines``, and its position counts
+    records from 0.  With ``keep``, only the documents whose position is a
     key are yielded, each with just the sentences whose id is in its
-    value: a line left out is blanked before it is decoded, so line
-    numbers stay right, and a record kept is read whole, but only the
-    sentences kept become objects.  What is left out is not checked:
-    filter only text that parses in full.
+    value: a record left out is never decoded, and in a record kept only
+    the sentences kept are read past their id (``_read_sentences``).  What
+    is left out is not checked: filter only text that parses in full.
     """
     shared = _sharing()
-    wanted = repeat(None)
-    if keep is not None:
-        position = count().__next__  # called on each line that is not blank
-        lines = (line if not line.strip() or position() in keep else "" for line in lines)
-        wanted = map(keep.__getitem__, sorted(keep))
-    for (line_no, obj), ids in zip(json_lines(lines), wanted):
-        yield _doc_from_dict(obj, line_no, shared, ids)
+    for position, (line_no, line) in enumerate(json_lines(lines)):
+        if keep is None or position in keep:
+            wanted = None if keep is None else keep[position]
+            yield _doc_from_dict(json_value(line, line_no), line_no, shared, wanted)
 
 
 def document_to_dict(doc: Document) -> dict:

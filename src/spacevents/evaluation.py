@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
-from .documents import SPLITS, json_lines, text_lines
+from .documents import SPLITS, json_lines, json_value, text_lines
 from .errors import InputError, SchemaError
 from .schemas import GENERIC_SLOTS, SCHEMAS
 
@@ -194,7 +194,8 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     Spans within one record must not overlap, nor end past that token count.
     """
     records: list[SentenceAnnotation] = []
-    for line_no, obj in json_lines(text_lines(source)):
+    for line_no, line in json_lines(text_lines(source)):
+        obj = json_value(line, line_no)
         if not isinstance(obj, dict):
             raise SchemaError(f"line {line_no}: record must be an object")
         for key in ("sentence_id", "event_type"):

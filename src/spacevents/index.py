@@ -196,6 +196,8 @@ _NOT_UTF8 = "index file holds a string that is not UTF-8"
 
 
 class _Reader:
+    """The bytes of an index file, read in order; a read past the end is ``_TRUNCATED``."""
+
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
@@ -211,26 +213,18 @@ class _Reader:
         """The next values, laid out as the ``struct`` format ``fmt``."""
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def string(self) -> str:
-        data = self.take(self.unpack("<H")[0])
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise InputError(_NOT_UTF8)
+    def strings(self, count: int) -> list[str]:
+        """The next ``count`` strings, each a u16 length and that many UTF-8 bytes.
 
-    def refs(self) -> tuple[Ref, ...]:
-        """The ref table: a u32 count, then two strings per ref.
-
-        It holds most of the file's strings, so they are read in one local
-        loop rather than through ``string``, with the same checks in the
-        same order; equal ids share one decoded string.
+        Each is checked whole before it is decoded, so a cut reads as
+        ``_TRUNCATED`` even inside a character.  Equal strings share one
+        ``str``, as the ids repeated across the ref table do.
         """
-        count = self.unpack("<I")[0]
         data, pos, size = self._data, self._pos, len(self._data)
         decoded: dict[bytes, str] = {}
         strings: list[str] = []
         try:
-            for _ in range(2 * count):
+            for _ in range(count):
                 start = pos + 2
                 pos = start + (data[pos] | data[pos + 1] << 8)  # u16 length
                 if pos > size:
@@ -245,7 +239,7 @@ class _Reader:
         except UnicodeDecodeError:
             raise InputError(_NOT_UTF8)
         self._pos = pos
-        return tuple(zip(strings[::2], strings[1::2]))
+        return strings
 
     def done(self) -> bool:
         return self._pos == len(self._data)
@@ -267,10 +261,11 @@ def load_index(path) -> InvertedIndex:
         )
     if version != VERSION:
         raise InputError(f"{path}: unsupported index version {version}")
-    sentences = reader.refs()
+    refs = reader.strings(2 * reader.unpack("<I")[0])  # a doc id and a sentence id per ref
+    sentences = tuple(zip(refs[::2], refs[1::2]))
     postings: dict[str, array] = {}
     for _ in range(reader.unpack("<I")[0]):
-        term = reader.string()
+        (term,) = reader.strings(1)
         ids = array("I", reader.take(4 * reader.unpack("<I")[0]))
         if sys.byteorder == "big":
             ids.byteswap()
@@ -278,10 +273,10 @@ def load_index(path) -> InvertedIndex:
             raise InputError(f"{path}: posting references unknown ref")
         postings[term] = ids
     corpus = None
-    fmt = reader.string()
+    (fmt,) = reader.strings(1)
     if fmt:
         digest = reader.take(32)
-        documents = tuple(reader.string() for _ in range(reader.unpack("<I")[0]))
+        documents = tuple(reader.strings(reader.unpack("<I")[0]))
         corpus = CorpusFingerprint(format=fmt, sha256=digest, documents=documents)
     if not reader.done():
         raise InputError(f"{path}: trailing bytes after index data")

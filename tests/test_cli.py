@@ -5,11 +5,13 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
 from datetime import date
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from spacevents import (
     SPLITS,
     build_index,
     load_index,
+    parse_conllu,
     parse_jsonl_documents,
     save_index,
     serialize_conllu,
@@ -36,6 +39,11 @@ CORPUS = str(FIXTURES / "small.conllu")
 
 
 def run(*argv, stdout=None):
+    """``main``'s exit code, stdout and stderr; a ``Path`` given as ``stdout`` gets the output."""
+    if isinstance(stdout, Path):
+        with stdout.open("w", encoding="utf-8") as out:
+            code, _, err = run(*argv, stdout=out)
+        return code, "", err
     out = stdout if stdout is not None else io.StringIO()
     err = io.StringIO()
     code = main(list(argv), stdout=out, stderr=err)
@@ -183,7 +191,7 @@ def test_indexed_commands_build_only_the_candidate_sentences(tmp_path, monkeypat
     conllu = tmp_path / "mixed.conllu"
     conllu.write_text(Path(CORPUS).read_text(encoding="utf-8") + MIXED_DOC, encoding="utf-8")
     jsonl = tmp_path / "mixed.jsonl"
-    assert run("ingest", "--corpus", str(conllu), stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    assert run("ingest", "--corpus", str(conllu), stdout=jsonl)[0] == 0
     edits = {
         conllu: ("\tinspected\tinspect\t", "\texamined\texamine\t"),
         jsonl: ('"surface":"inspected","lemma":"inspect"', '"surface":"examined","lemma":"examine"'),
@@ -231,7 +239,7 @@ def test_sentence_table_that_names_a_missing_sentence_is_an_input_error(tmp_path
 
 def test_index_of_the_same_documents_in_another_format_is_an_input_error(tmp_path):
     jsonl = tmp_path / "small.jsonl"
-    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl)[0] == 0
     index_path = tmp_path / "small.idx"
     assert run("index", "--corpus", str(jsonl), "--index", str(index_path))[0] == 0
     code, out, err = run("extract", "--corpus", str(jsonl), "--index", str(index_path))
@@ -292,7 +300,7 @@ def test_document_table_that_misplaces_a_document_is_an_input_error(tmp_path):
 
 def test_the_digest_is_checked_before_the_tables_and_the_corpus_itself(tmp_path):
     jsonl = tmp_path / "small.jsonl"
-    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl)[0] == 0
     # each edit is in d1, a candidate document: it still parses, no longer
     # parses, or now holds a byte that is not UTF-8
     edits = {
@@ -331,7 +339,7 @@ def test_extract_shortlist_and_export_print_the_same_with_and_without_an_index_o
 ):
     # the fixture, its JSONL copy and a copy with CRLF line endings
     jsonl = tmp_path / "small.jsonl"
-    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl)[0] == 0
     crlf = tmp_path / "small-crlf.conllu"
     crlf.write_bytes(Path(CORPUS).read_bytes().replace(b"\n", b"\r\n"))
     commands = ("extract", "shortlist", "export-annotation")
@@ -348,7 +356,7 @@ def test_extract_shortlist_and_export_print_the_same_with_and_without_an_index_o
 
 def test_an_index_refuses_a_copy_of_its_corpus_with_one_token_changed(tmp_path):
     jsonl = tmp_path / "small.jsonl"
-    assert run("ingest", "--corpus", CORPUS, stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    assert run("ingest", "--corpus", CORPUS, stdout=jsonl)[0] == 0
     edits = (
         (Path(CORPUS), "\tCape\tCape\t", "\tCap\tCap\t"),
         (jsonl, '"surface":"Cape","lemma":"Cape"', '"surface":"Cap","lemma":"Cap"'),
@@ -482,12 +490,37 @@ def test_ingest_keeps_unicode_line_breaks_inside_tokens(tmp_path):
     conllu = tmp_path / "odd.conllu"
     conllu.write_text(serialize_conllu([d1, d2]), encoding="utf-8")
     jsonl = tmp_path / "odd.jsonl"
-    assert run("ingest", "--corpus", str(conllu), stdout=jsonl.open("w", encoding="utf-8"))[0] == 0
+    assert run("ingest", "--corpus", str(conllu), stdout=jsonl)[0] == 0
     assert "\u2028" in jsonl.read_text(encoding="utf-8")
     code, again, _ = run("ingest", "--corpus", str(jsonl))
     assert code == 0
     assert parse_jsonl_documents(again) == [d1, d2]
     assert run("extract", "--corpus", str(jsonl))[1] == run("extract", "--corpus", str(conllu))[1]
+
+
+@pytest.mark.parametrize("fmt", ["conllu", "jsonl"])
+def test_ingest_of_a_crlf_corpus_prints_what_the_whole_string_parse_serializes(tmp_path, fmt):
+    docs = random_corpus(random.Random(37), 200, dated=True)
+    serialize, parse = (
+        (serialize_conllu, parse_conllu) if fmt == "conllu"
+        else (serialize_jsonl_documents, parse_jsonl_documents)
+    )
+    body = serialize(docs).replace("\n", "\r\n").encode("utf-8")
+    assert len(body) > 2 << 16  # lines on both sides of two 64 KiB boundaries or more
+    # a padding line ahead of the documents ends the first 64 KiB read just
+    # after a "\n", just after a "\r" and inside a line
+    last = (1 << 16) - 1
+    crlf = body.rindex(b"\r\n", 0, last - 8)
+    corpus = tmp_path / f"crlf.{fmt}"
+    ends = set()
+    for size in (last - crlf - 1, last - crlf, last - crlf + 1):
+        data = (b"#" if fmt == "conllu" else b" ") + b" " * (size - 3) + b"\r\n" + body
+        corpus.write_bytes(data)
+        ends.add(data[last : last + 1])
+        text = data.decode("utf-8")
+        assert parse(text) == docs
+        assert run("ingest", "--corpus", str(corpus))[:2] == (0, serialize_jsonl_documents(docs))
+    assert {b"\n", b"\r"} < ends
 
 
 def _line_ending_copies(path: Path, directory: Path) -> list[Path]:
@@ -512,6 +545,28 @@ def test_extract_prints_the_same_with_crlf_and_lone_cr_copies_of_the_rules_and_g
     for rules_copy, gazetteer_copy in zip(rules, gazetteers):
         argv = ("--rules", str(rules_copy), "--gazetteer", str(gazetteer_copy))
         assert run("extract", "--corpus", CORPUS, *argv) == expected, rules_copy.name
+
+
+def test_the_packaged_rules_and_gazetteer_are_read_from_the_package_data(monkeypatch):
+    from importlib import resources
+
+    import spacevents.cli as cli
+
+    read_text, read = cli._read_text, []
+    monkeypatch.setattr(cli, "_read_text", lambda path: read.append(path) or read_text(path))
+    cli._load_rules(None)
+    cli._load_gazetteer(None)
+    names = ["reference.rules", "gazetteer.tsv"]
+    assert [Path(path) for path in read] == [
+        Path(str(resources.files("spacevents").joinpath("data", name))) for name in names
+    ]
+    # a wheel installs both: each matches a package-data glob
+    pyproject = Path(__file__).resolve().parents[1].joinpath("pyproject.toml").read_text("utf-8")
+    table = re.search(r"^\[tool\.setuptools\.package-data\]\nspacevents = \[(.*)\]$",
+                      pyproject, re.M)
+    globs = re.findall(r'"([^"]+)"', table.group(1))
+    for name in names:
+        assert any(fnmatch(f"data/{name}", glob) for glob in globs), (name, globs)
 
 
 def test_score_stats_and_errors_print_the_same_on_crlf_and_lone_cr_copies(tmp_path, score_files):

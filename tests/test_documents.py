@@ -20,7 +20,6 @@ from spacevents import (
     serialize_conllu,
     serialize_jsonl_documents,
 )
-import spacevents.documents as documents
 from spacevents.documents import (
     _lines,
     document_to_dict,
@@ -171,7 +170,16 @@ def test_text_lines_of_a_string_and_of_a_line_iterable():
     assert text_lines(iter(listed)) == text_lines(listed)
 
 
-def test_a_string_splits_into_the_same_lines_in_blocks_of_any_size(monkeypatch):
+def _blocks(text, size):
+    """``text`` cut as the CLI cuts a file: ``size`` characters, then the rest of the line."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def test_a_string_splits_into_the_same_lines_in_blocks_of_any_size():
     fixture = FIXTURES.joinpath("small.conllu").read_text(encoding="utf-8")
     texts = ["", "\n", "\n\n", "a", "a\n", "a\r\n\r\nb\r", "\ra\rb\n\u2028\n",
              fixture, fixture.rstrip("\n"), fixture.replace("\n", "\r\n")]
@@ -180,9 +188,11 @@ def test_a_string_splits_into_the_same_lines_in_blocks_of_any_size(monkeypatch):
         if not whole[-1]:
             whole.pop()  # the text ends with a newline, or is empty
         expected = [line[:-1] if line.endswith("\r") else line for line in whole]
+        assert list(_lines(text)) == expected, text[:20]
         for block in (1, 2, 3, 7, 64, 1 << 16):
-            monkeypatch.setattr(documents, "_BLOCK", block)
-            assert list(_lines(text)) == expected, (text[:20], block)
+            blocks = list(_blocks(text, block))
+            assert "".join(blocks) == text
+            assert [line for b in blocks for line in _lines(b)] == expected, (text[:20], block)
 
 
 def test_unicode_line_breaks_inside_tokens_round_trip():
@@ -242,6 +252,22 @@ def test_jsonl_lines_of_unicode_whitespace_hold_no_document():
     broken = text.replace(first, "{not json").replace(second, second.replace('"id":"d2"', '"id":7'))
     with pytest.raises(SchemaError, match="^line 7: field id has the wrong type$"):
         list(read_jsonl(_lines(broken), {1: {"s1"}}))
+
+
+def test_a_filtered_parse_names_a_refused_sentence_by_its_index_in_the_record():
+    record = document_to_dict(load_small_corpus()[0])
+    record["sentences"][1]["tokens"][0]["surface"] = 7
+    text = json.dumps(record)
+    message = r"^line 1: field sentences\[1\]\.tokens\[0\]\.surface has the wrong type$"
+    with pytest.raises(SchemaError, match=message):
+        parse_jsonl_documents(text)
+    with pytest.raises(SchemaError, match=message):
+        list(read_jsonl(_lines(text), {0: {"s2"}}))
+    # a sentence left out is still checked up to its id
+    record["sentences"][0]["id"] = 1
+    message = r"^line 1: field sentences\[0\]\.id has the wrong type$"
+    with pytest.raises(SchemaError, match=message):
+        list(read_jsonl(_lines(json.dumps(record)), {0: {"s2"}}))
 
 
 def _with_blank_lines(rng, text, fmt):

@@ -230,18 +230,45 @@ def test_load_rejects_corrupt_files(tmp_path):
 def test_ref_table_errors_read_as_the_field_reader_words_them(tmp_path):
     path = tmp_path / "refs.idx"
     docs = [replace(doc, id=f"dé{doc.id}") for doc in load_small_corpus()]
-    save_index(build_index(docs), path)
+    index = build_index(docs)
+    corpus = CorpusFingerprint("conllu", bytes(32), tuple(doc.id for doc in docs))
+    postings = {**index.postings, "lemma:né": index.postings["lemma:launch"]}
+    save_index(replace(index, postings=postings, corpus=corpus), path)
     data = path.read_bytes()
     loaded = load_index(path)
     assert loaded.sentences[:2] == (("déd1", "s1"), ("déd1", "s2"))
     assert loaded.sentences[0][0] is loaded.sentences[1][0]  # equal ids share one string
-    first = data.index("dé".encode()) + 1  # the first byte of é
-    path.write_bytes(data[: first + 1])  # cut inside the character: truncated, not bad UTF-8
-    with pytest.raises(InputError, match="truncated"):
-        load_index(path)
-    path.write_bytes(data[:first] + b"\xff" + data[first + 1 :])
-    with pytest.raises(InputError, match="not UTF-8"):
-        load_index(path)
+    assert loaded.corpus == corpus and "lemma:né" in loaded.postings
+    # the first byte of an é in the ref table, in a term and in the document table
+    for first in (data.index("dé".encode()) + 1, data.index("né".encode()) + 1,
+                  data.rindex("dé".encode()) + 1):
+        path.write_bytes(data[: first + 1])  # cut inside the character: truncated, not bad UTF-8
+        with pytest.raises(InputError, match="truncated"):
+            load_index(path)
+        path.write_bytes(data[:first] + b"\xff" + data[first + 1 :])
+        with pytest.raises(InputError, match="not UTF-8"):
+            load_index(path)
+
+
+def test_a_cut_or_changed_index_file_loads_or_is_refused_as_input(tmp_path):
+    path = tmp_path / "small.idx"
+    save_index(_fingerprinted(), path)
+    data = path.read_bytes()
+    variants = [data[:cut] for cut in range(len(data))]
+    for at, byte in enumerate(data):
+        variants.extend(
+            data[:at] + bytes((value,)) + data[at + 1 :] for value in (0x00, 0xFF, 0x80, byte ^ 1)
+        )
+    outcomes = {"loaded": 0, "refused": 0}
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            load_index(path)
+        except InputError:
+            outcomes["refused"] += 1
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["loaded"] and outcomes["refused"], outcomes
 
 
 def test_empty_index_roundtrip(tmp_path):
