@@ -271,7 +271,7 @@ def json_value(line: str, line_no: int):
             if _SURROGATE.search(json.dumps(value, ensure_ascii=False)):
                 raise ValueError("lone surrogate in a string")
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise SchemaError(f"line {line_no}: invalid JSON: {exc}")
+        raise SchemaError(f"invalid JSON: {exc}", line=line_no)
     return value
 
 
@@ -321,8 +321,7 @@ def _sentence(sent_id, tokens, edges, heads, ok, seen, doc_id, line) -> Sentence
         problems = sentence_issues(sent)
         if problems:
             raise StructureError(
-                f"line {line}: sentence {sent_id!r} in document {doc_id!r}: "
-                + "; ".join(problems)
+                f"sentence {sent_id!r} in document {doc_id!r}: " + "; ".join(problems), line=line
             )
     seen.add(sent_id)
     return sent
@@ -642,10 +641,10 @@ def _refused(obj: dict, key: str, line: int, path: str = "") -> SchemaError:
     ``_OPTIONAL``) is refused only when present, and must then be a string.
     """
     if key in _OPTIONAL:
-        return SchemaError(f"line {line}: field {path}{key} must be a string")
+        return SchemaError(f"field {path}{key} must be a string", line=line)
     if key not in obj:
-        return SchemaError(f"line {line}: missing required field {path}{key}")
-    return SchemaError(f"line {line}: field {path}{key} has the wrong type")
+        return SchemaError(f"missing required field {path}{key}", line=line)
+    return SchemaError(f"field {path}{key} has the wrong type", line=line)
 
 
 def _read_sentences(
@@ -667,7 +666,7 @@ def _read_sentences(
     seen: set[str] = set()
     for i, raw_sent in enumerate(raw_sentences):
         if type(raw_sent) is not dict:
-            raise SchemaError(f"line {line}: sentences[{i}] must be an object")
+            raise SchemaError(f"sentences[{i}] must be an object", line=line)
         sent_id = raw_sent.get("id")
         if type(sent_id) is not str:
             raise _refused(raw_sent, "id", line, f"sentences[{i}].")
@@ -684,7 +683,7 @@ def _read_sentences(
         tokens: list[Token] = []
         for j, raw_tok in enumerate(raw_tokens):
             if type(raw_tok) is not dict:
-                raise SchemaError(f"line {line}: sentences[{i}].tokens[{j}] must be an object")
+                raise SchemaError(f"sentences[{i}].tokens[{j}] must be an object", line=line)
             surface = raw_tok.get("surface")
             if type(surface) is not str:
                 raise _refused(raw_tok, "surface", line, f"sentences[{i}].tokens[{j}].")
@@ -708,7 +707,7 @@ def _read_sentences(
         edges: list[DepEdge] = []
         for j, raw_edge in enumerate(raw_edges):
             if type(raw_edge) is not dict:
-                raise SchemaError(f"line {line}: sentences[{i}].edges[{j}] must be an object")
+                raise SchemaError(f"sentences[{i}].edges[{j}] must be an object", line=line)
             head = raw_edge.get("head")
             if type(head) is not int:
                 raise _refused(raw_edge, "head", line, f"sentences[{i}].edges[{j}].")
@@ -730,7 +729,7 @@ def _read_sentences(
 
 def _doc_from_dict(obj, line: int, shared: tuple, wanted) -> Document:
     if type(obj) is not dict:
-        raise SchemaError(f"line {line}: document record must be an object")
+        raise SchemaError("document record must be an object", line=line)
     doc_id = obj.get("id")
     if type(doc_id) is not str:
         raise _refused(obj, "id", line)

@@ -8,17 +8,24 @@ class SpaceventsError(Exception):
 
 
 class InputError(SpaceventsError):
-    """Bad input data or configuration supplied by the caller."""
+    """Bad input data or configuration supplied by the caller.
+
+    Raised with the ``line`` (and ``col``) of the input where it was found,
+    its message starts with ``line N: `` (or ``line N, column C: ``);
+    ``.line`` and ``.col`` keep them, and are None where not known.
+    """
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        if line is not None:
+            where = f"line {line}" if col is None else f"line {line}, column {col}"
+            message = f"{where}: {message}"
+        super().__init__(message)
+        self.line = line
+        self.col = col
 
 
 class ParseError(InputError):
-    """Malformed input file; carries the offending line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed input file."""
 
 
 class StructureError(InputError):
@@ -31,12 +38,3 @@ class SchemaError(InputError):
 
 class RuleError(InputError):
     """Problem in a rule file: syntax, duplicate names, or tier violations."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        if line is not None and col is not None:
-            message = f"line {line}, column {col}: {message}"
-        elif line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.col = col

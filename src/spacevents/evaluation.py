@@ -197,20 +197,20 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     for line_no, line in json_lines(text_lines(source)):
         obj = json_value(line, line_no)
         if not isinstance(obj, dict):
-            raise SchemaError(f"line {line_no}: record must be an object")
+            raise SchemaError("record must be an object", line=line_no)
         for key in ("sentence_id", "event_type"):
             if not isinstance(obj.get(key), str):
-                raise SchemaError(f"line {line_no}: missing or non-string {key}")
+                raise SchemaError(f"missing or non-string {key}", line=line_no)
         doc_id = obj.get("doc_id", "")
         if not isinstance(doc_id, str):
-            raise SchemaError(f"line {line_no}: doc_id must be a string")
+            raise SchemaError("doc_id must be a string", line=line_no)
         raw_spans = obj.get("spans")
         if not isinstance(raw_spans, list):
-            raise SchemaError(f"line {line_no}: missing spans list")
+            raise SchemaError("missing spans list", line=line_no)
         spans = []
         for i, raw_span in enumerate(raw_spans):
             if not isinstance(raw_span, dict):
-                raise SchemaError(f"line {line_no}: spans[{i}] must be an object")
+                raise SchemaError(f"spans[{i}] must be an object", line=line_no)
             try:
                 spans.append(
                     LabeledSpan(
@@ -222,33 +222,29 @@ def read_annotations(source) -> list[SentenceAnnotation]:
                     )
                 )
             except (KeyError, TypeError):
-                raise SchemaError(
-                    f"line {line_no}: spans[{i}] needs start, end, and label"
-                )
+                raise SchemaError(f"spans[{i}] needs start, end, and label", line=line_no)
             except InputError as exc:
-                raise SchemaError(f"line {line_no}: spans[{i}]: {exc}")
+                raise SchemaError(f"spans[{i}]: {exc}", line=line_no)
         for i, a in enumerate(spans):
             for b in spans[i + 1 :]:
                 if a.overlaps(b):
-                    raise SchemaError(f"line {line_no}: overlapping spans {a} and {b}")
+                    raise SchemaError(f"overlapping spans {a} and {b}", line=line_no)
         n_tokens = obj.get("n_tokens")
         if n_tokens is None and isinstance(obj.get("tokens"), list):
             n_tokens = len(obj["tokens"])
         if n_tokens is not None and (
             isinstance(n_tokens, bool) or not isinstance(n_tokens, int) or n_tokens < 0
         ):
-            raise SchemaError(
-                f"line {line_no}: n_tokens must be an integer, not negative"
-            )
+            raise SchemaError("n_tokens must be an integer, not negative", line=line_no)
         for i, span in enumerate(spans):
             if n_tokens is not None and span.end > n_tokens:
                 raise SchemaError(
-                    f"line {line_no}: spans[{i}] ends at {span.end}, "
-                    f"past the sentence's {n_tokens} tokens"
+                    f"spans[{i}] ends at {span.end}, past the sentence's {n_tokens} tokens",
+                    line=line_no,
                 )
         split = obj.get("split")
         if split is not None and not isinstance(split, str):
-            raise SchemaError(f"line {line_no}: split must be a string")
+            raise SchemaError("split must be a string", line=line_no)
         records.append(
             SentenceAnnotation(
                 sentence_id=obj["sentence_id"],

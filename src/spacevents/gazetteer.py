@@ -130,15 +130,13 @@ def read_gazetteer(source) -> list[GazetteerEntry]:
             raise ParseError(
                 f"expected 2 or 3 tab-separated columns, got {len(cols)}", line=line_no
             )
-        alternates = ()
-        if len(cols) == 3 and cols[2].strip():
-            alternates = tuple(alt for alt in cols[2].split("|") if alt.strip())
+        alternates = cols[2].split("|") if len(cols) == 3 else ()
         try:
             entries.append(
                 GazetteerEntry(
                     entity_type=cols[0].strip(),
                     canonical=cols[1].strip(),
-                    alternates=alternates,
+                    alternates=tuple(filter(None, map(str.strip, alternates))),
                 )
             )
         except InputError as exc:

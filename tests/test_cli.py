@@ -105,6 +105,21 @@ def test_extract_with_prebuilt_index_is_identical(tmp_path):
     assert indexed == plain
 
 
+def test_an_identifier_too_long_for_the_index_file_is_an_input_error(tmp_path):
+    # the file spells a string with a u16 byte length
+    doc_id = "x" * 70_000
+    corpus = tmp_path / "long.conllu"
+    corpus.write_text(
+        Path(CORPUS).read_text(encoding="utf-8").replace("newdoc id = d2", f"newdoc id = {doc_id}"),
+        encoding="utf-8",
+    )
+    index_path = tmp_path / "long.idx"
+    code, out, err = run("index", "--corpus", str(corpus), "--index", str(index_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: identifier too long to serialize: {doc_id[:40]!r}...\n"
+    assert not index_path.exists()
+
+
 def test_index_of_another_corpus_is_an_input_error(tmp_path):
     # the index covers only the first document; extraction would miss d2's events
     first_doc = tmp_path / "first.conllu"
@@ -167,6 +182,32 @@ def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monk
     assert code == 1
     assert out == ""
     assert err == f"error: {index_path}: built for a different corpus\n"
+
+
+def test_an_index_whose_digest_matches_trusts_the_documents_it_leaves_out(tmp_path):
+    # a library-saved index with the fingerprint of a corpus that differs from
+    # the one indexed only in d3, a document with no candidate sentence
+    three = Path(CORPUS).read_text(encoding="utf-8") + QUIET_DOC
+    corpus = tmp_path / "three.conllu"
+    index_path = tmp_path / "three.idx"
+    bad_date = three.replace("# newdoc id = d3\n", "# newdoc id = d3\n# collected_at = someday\n")
+    bad_token = three.replace("\tNOAA-19\tNOAA-19\tPROPN\tNNP\t_\t2\tobj\t_\t_", "\tNOAA-19")
+    index = build_index(parse_conllu(three))
+    _, scanned, _ = run("extract", "--corpus", CORPUS)
+    for text, indexed, problem in (
+        # a fact of a left-out document is still read, and its fault is the stream's own
+        (bad_date, (1, ""), "line 49: collected_at is not an ISO date: 'someday'"),
+        # its token lines are not: the index's fingerprint vouches for them
+        (bad_token, (0, scanned), "line 52: expected 10 tab-separated columns, got 2"),
+    ):
+        corpus.write_text(text, encoding="utf-8")
+        digest = hashlib.sha256(corpus.read_bytes()).digest()
+        fingerprint = CorpusFingerprint("conllu", digest, ("d1", "d2", "d3"))
+        save_index(replace(index, corpus=fingerprint), index_path)
+        code, out, err = run("extract", "--corpus", str(corpus), "--index", str(index_path))
+        assert (code, out) == indexed
+        assert err == (f"error: {problem}\n" if code else "4 events\n")
+        assert run("extract", "--corpus", str(corpus)) == (1, "", f"error: {problem}\n")
 
 
 # a document whose one candidate sentence sits between two that no trigger can match
@@ -770,7 +811,7 @@ def test_duplicate_document_ids_are_an_input_error(tmp_path):
         assert "duplicate document id 'd1'" in err
 
 
-def test_dedup_assigns_pools_and_splits():
+def test_dedup_assigns_pools_and_splits(tmp_path):
     code, out, err = run("dedup", "--corpus", CORPUS)
     assert code == 0
     assert lines_of(out) == [
@@ -778,6 +819,16 @@ def test_dedup_assigns_pools_and_splits():
         {"doc_id": "d2", "pool_id": "d2", "split": "dev"},
     ]
     assert "2 pools over 2 documents" in err
+    # a document of punctuation alone has no term vector to pool
+    corpus = tmp_path / "uncountable.conllu"
+    corpus.write_text(
+        Path(CORPUS).read_text(encoding="utf-8")
+        + "\n# newdoc id = u\n# sent_id = s\n1\t.\t.\tPUNCT\t_\t_\t0\tpunct\t_\t_\n\n",
+        encoding="utf-8",
+    )
+    assert run("dedup", "--corpus", str(corpus)) == (
+        1, "", "error: document 'u' has no countable tokens\n"
+    )
 
 
 def test_ner_emits_merged_mentions():

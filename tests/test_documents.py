@@ -409,8 +409,9 @@ def test_conllu_structural_rejects():
         "1\ta\ta\tX\t_\t_\t0\troot\t_\t_",
         "2\tb\tb\tX\t_\t_\t0\troot\t_\t_",
     )
-    with pytest.raises(StructureError, match="root"):
+    with pytest.raises(StructureError, match="root") as caught:
         parse_conllu(two_roots)
+    assert caught.value.line == 2
     cycle = _conllu(
         "# newdoc id = d",
         "# sent_id = s",
@@ -418,8 +419,13 @@ def test_conllu_structural_rejects():
         "2\tb\tb\tX\t_\t_\t3\tdep\t_\t_",
         "3\tc\tc\tX\t_\t_\t2\tdep\t_\t_",
     )
-    with pytest.raises(StructureError, match="cycle"):
+    with pytest.raises(StructureError, match="cycle") as caught:
         parse_conllu(cycle)
+    assert caught.value.line == 2
+    with pytest.raises(ParseError) as caught:
+        parse_conllu(_conllu("# newdoc id = d", "# sent_id = s", ""))
+    assert str(caught.value) == "line 2: sentence 's' has no tokens"
+    assert caught.value.line == 2
 
 
 def test_conllu_empty_form_and_bad_head():
@@ -442,8 +448,19 @@ def test_jsonl_error_messages_carry_field_paths():
         '[{"surface": "a", "lemma": "a", "pos": "X"}, {"lemma": "b", "pos": "X"}], '
         '"edges": [{"head": -1, "dep": 0, "label": "root"}, {"head": 0, "dep": 1, "label": "dep"}]}]}'
     )
-    with pytest.raises(SchemaError, match=r"sentences\[0\].tokens\[1\].surface"):
+    with pytest.raises(SchemaError, match=r"sentences\[0\].tokens\[1\].surface") as caught:
         parse_jsonl_documents(bad_token)
+    assert caught.value.line == 1
+    sentence = '{"id": "s", "tokens": %s, "edges": %s}'
+    for sentences, path in (
+        ("1", "sentences[0]"),
+        (sentence % ("[1]", "[]"), "sentences[0].tokens[0]"),
+        (sentence % ("[]", "[1]"), "sentences[0].edges[0]"),
+    ):
+        with pytest.raises(SchemaError) as caught:
+            parse_jsonl_documents('{"id": "d", "sentences": [%s]}' % sentences)
+        assert str(caught.value) == f"line 1: {path} must be an object"
+        assert caught.value.line == 1
 
 
 def test_jsonl_refuses_lines_json_loads_cannot_decode_safely():
@@ -758,6 +775,23 @@ def test_parsers_share_equal_tokens_and_edges_only():
         assert again == parsed
         assert again[0].sentences[0].tokens[0] is not s0.tokens[0]
         assert again[0].sentences[0].tokens[0].surface is not s0.tokens[0].surface
+
+
+def test_a_parse_that_empties_the_token_table_equals_the_reference_parse(monkeypatch):
+    import spacevents.documents as documents
+
+    monkeypatch.setattr(documents, "_TOKENS_KEPT", 8)
+    docs = random_corpus(random.Random(4096), 12, entity_chance=0.3, dated=True)
+    for parse, reference, serialize in (
+        (parse_conllu, reference_parse_conllu, serialize_conllu),
+        (parse_jsonl_documents, reference_parse_jsonl_documents, serialize_jsonl_documents),
+    ):
+        text = serialize(docs)
+        parsed = parse(text)
+        assert parsed == reference(text) == docs
+        # equal tokens read after the table was emptied are new objects
+        tokens = [tok for doc in parsed for sent in doc.sentences for tok in sent.tokens]
+        assert len({id(tok) for tok in tokens}) > len(set(tokens))
 
 
 def _round_trip(obj):

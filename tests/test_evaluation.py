@@ -307,6 +307,10 @@ def test_read_annotations_errors():
         read_annotations('{"event_type": "LAUNCH", "spans": []}')
     with pytest.raises(SchemaError, match="missing spans list"):
         read_annotations('{"sentence_id": "s", "event_type": "LAUNCH"}')
+    with pytest.raises(SchemaError) as caught:
+        read_annotations('{"sentence_id": "s", "event_type": "LAUNCH", "spans": [1]}')
+    assert str(caught.value) == "line 1: spans[0] must be an object"
+    assert caught.value.line == 1
     with pytest.raises(SchemaError, match=r"spans\[0\] needs start, end, and label"):
         read_annotations(
             '{"sentence_id": "s", "event_type": "LAUNCH", "spans": [{"start": 0}]}'

@@ -87,6 +87,11 @@ def test_read_gazetteer_errors_carry_line_numbers():
         read_gazetteer("ORGANIZATION\tNASA\nROCKET\tProton\n")
     with pytest.raises(ParseError, match="empty canonical"):
         read_gazetteer("ORGANIZATION\t \n")
+    # an alternate is compared without the spaces around its `|`
+    with pytest.raises(ParseError) as caught:
+        read_gazetteer("SPACECRAFT\tISS\tISS | ISS\n")
+    assert str(caught.value) == "line 1: alternate duplicates canonical form: 'ISS'"
+    assert caught.value.line == 1
 
 
 def test_entry_validation():
@@ -148,6 +153,12 @@ def test_short_uppercase_forms_require_exact_case():
     assert tag_sentence(spelled, matcher) == [
         Mention("s", 0, 3, "SPACECRAFT", "domain")
     ]
+    # spaces around an alternate's `|` do not make it a long form
+    padded = read_gazetteer("ORGANIZATION\tJapan Aerospace Exploration Agency\tISAS | JAXA \n")
+    assert [entry.alternates for entry in padded] == [("ISAS", "JAXA")]
+    matcher = compile_gazetteer(padded)
+    assert tag_sentence(_flat(["jaxa"]), matcher) == []
+    assert tag_sentence(_flat(["JAXA"]), matcher) == [Mention("s", 0, 1, "ORGANIZATION", "domain")]
 
 
 def test_empty_gazetteer_rejected():

@@ -189,6 +189,10 @@ def test_lexer_errors():
         parse_rules(_wrap(trigger='[surface="abc]'))
     with pytest.raises(RuleError, match="unexpected character '@'"):
         parse_rules("rule r @ {}")
+    with pytest.raises(RuleError) as caught:
+        parse_rules(_wrap(trigger="[lemma=]"))
+    assert str(caught.value) == "line 4, column 19: expected literal, found ']'"
+    assert (caught.value.line, caught.value.col) == (4, 19)
     # a text that ends in a comment ends at the comment's '#'
     for text, where in (
         ("rule r { # unfinished", "line 1, column 10"),
@@ -203,6 +207,10 @@ def test_lexer_errors():
 def test_structure_errors():
     with pytest.raises(RuleError, match="expected 'rule', found 'foo'"):
         parse_rules("foo r {}")
+    with pytest.raises(RuleError) as caught:
+        parse_rules("rule r event: LAUNCH }")
+    assert str(caught.value) == "line 1, column 8: expected '{', found 'event'"
+    assert (caught.value.line, caught.value.col) == (1, 8)
     with pytest.raises(RuleError, match="unknown event type 'EXPLOSION'"):
         parse_rules(_wrap(event="EXPLOSION"))
     with pytest.raises(RuleError, match="tier must be one of high/backoff"):
