@@ -251,19 +251,12 @@ def _cmd_index(args, out, err) -> int:
     from .index import CorpusFingerprint, build_index, save_index
 
     digest = hashlib.sha256()
-    doc_ids: list[str] = []
-
-    def noted(doc):
-        doc_ids.append(doc.id)
-        return doc
-
     docs = _documents(args.corpus, args.format, on_block=digest.update)
-    index = build_index(map(noted, docs), workers=args.workers)
+    index = build_index(docs, workers=args.workers)
     fmt = _corpus_format(args.corpus, args.format)
-    corpus = CorpusFingerprint(format=fmt, sha256=digest.digest(), documents=tuple(doc_ids))
-    save_index(replace(index, corpus=corpus), args.index)
+    save_index(replace(index, corpus=CorpusFingerprint(fmt, digest.digest())), args.index)
     print(
-        f"indexed {len(doc_ids)} documents / {len(index.sentences)} sentences: "
+        f"indexed {len(index.documents)} documents / {len(index.sentences)} sentences: "
         f"{len(index)} terms -> {args.index}",
         file=err,
     )
@@ -295,7 +288,7 @@ def _candidate_documents(args, index, rules) -> Iterator:
         )
     fmt = _corpus_format(args.corpus, args.format)
     wanted = candidate_sentence_ids(index, rules)
-    keep = {at: wanted[doc_id] for at, doc_id in enumerate(corpus.documents) if doc_id in wanted}
+    keep = {at: wanted[doc_id] for at, doc_id in enumerate(index.documents) if doc_id in wanted}
     digest = hashlib.sha256()
     kept_ids, sizes = [], []  # of each document kept, in file order
     fault = None
@@ -311,8 +304,7 @@ def _candidate_documents(args, index, rules) -> Iterator:
     if fault is not None:
         raise fault
     positions = sorted(keep)
-    # the file's ids are unique, so as many ids kept as wanted means every one is kept
-    if kept_ids != [corpus.documents[at] for at in positions] or len(kept_ids) != len(wanted):
+    if kept_ids != [index.documents[at] for at in positions]:
         raise InputError(f"{args.index}: document table does not match the corpus")
     if sizes != [len(keep[at]) for at in positions]:
         raise InputError(f"{args.index}: sentence table does not match the corpus")

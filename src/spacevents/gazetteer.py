@@ -86,7 +86,7 @@ class GazetteerMatcher:
         node = self._root
         for tok in tokens:
             node = node.children.setdefault(tok.lower(), _TrieNode())
-        node.entries.append((entity_type, tokens, _is_acronym(form)))
+        node.entries.append((entity_type, tokens, _is_acronym(" ".join(tokens))))
         self._size += 1
 
     def longest_match(

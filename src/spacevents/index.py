@@ -6,40 +6,43 @@ alternative an indexable atom (see ``rules``), so the postings of those
 atoms bound the sentences a trigger can match, which is what lets
 extraction skip almost the whole corpus.
 
-In memory the index keeps the file's layout: ``sentences`` is the
-sorted tuple of (document id, sentence id) refs of every indexed
-sentence, and each term's postings are a sorted, duplicate-free
-``array('I')`` of positions in that tuple.  Arrays hold plain integers,
-so the garbage collector never traverses them, and loading a file copies
-each posting list in one step.  ``refs`` turns a posting list back into
-refs.
+In memory the index keeps the file's layout: ``documents`` holds the
+document ids and ``sentences`` the (document id, sentence id) refs of
+every indexed sentence, both in reading order, and each term's postings
+are a sorted, duplicate-free ``array('I')`` of positions in
+``sentences``.  Arrays hold plain integers, so the garbage collector
+never traverses them, and loading a file copies each posting list in one
+step.  ``refs`` turns a posting list back into refs.
 
 An index may also carry the ``CorpusFingerprint`` of the file it was
-built from: its format, the ``sha256`` of its bytes, and the ids of its
-documents in file order.  With it a reader that finds the same hash can
-build only the sentences it needs, in the documents at the positions that
-hold them, because every other byte is known to be what the index was
-built from.  Only the parsers find where a document starts.
-``build_index`` leaves the fingerprint unset.
+built from: its format and the ``sha256`` of its bytes.  With it a reader
+that finds the same hash can build only the sentences it needs, in the
+documents at the positions that hold them, because every other byte is
+known to be what the index was built from.  Only the parsers find where
+a document starts.  ``build_index`` leaves the fingerprint unset.
 
 On-disk layout, all integers little-endian:
 
-    magic    6 bytes   b"SEVIDX"
-    version  u16       currently 3
-    n_refs   u32
-    refs     n_refs x (u16 + utf-8 doc id, u16 + utf-8 sentence id)
-    n_terms  u32
-    terms    n_terms x (u16 + utf-8 term, u32 count, count x u32 ref index)
-    format   u16 + utf-8 corpus format ("conllu" or "jsonl"), empty when
-             the index has no fingerprint and the file ends here
-    sha256   32 bytes  digest of the corpus file
-    n_docs   u32
-    docs     n_docs x (u16 + utf-8 doc id), in file order
+    magic      6 bytes   b"SEVIDX"
+    version    u16       currently 4
+    n_docs     u32
+    docs       n_docs x (u16 + utf-8 doc id), in reading order
+    counts     n_docs x u32: each document's count of indexed sentences
+    sentences  sum(counts) x (u16 + utf-8 sentence id), in reading order
+    n_terms    u32
+    terms      n_terms x (u16 + utf-8 term, u32 count, count x u32 ref index)
+    format     u16 + utf-8 corpus format ("conllu" or "jsonl"), empty when
+               the index has no fingerprint
+    sha256     32 bytes  digest of the corpus file, present when format is set
+    digest     32 bytes  sha256 of every byte before it
 
-Refs and terms are sorted by id, so the same corpus file always
-serializes to the same bytes.  A file of an earlier version (1 had no
-fingerprint, 2 located documents by byte offset) is refused with a
-request to rebuild it.
+Each document id is stored once.  Terms are sorted, so the same
+documents in the same order always serialize to the same bytes.  The
+digest is checked after the rest is read: a changed byte that still
+reads as an index is refused, never loaded as another index.  A file of
+an earlier version (1 had no fingerprint, 2 located documents by byte
+offset, 3 repeated document ids in its refs) is refused with a request
+to rebuild it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter, lt
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -59,11 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .rules import Atom, Rule
 
 MAGIC = b"SEVIDX"
-VERSION = 3
+VERSION = 4
 
 Ref = tuple[str, str]  # (doc id, sentence id)
-
-_BY_ID = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,13 @@ class CorpusFingerprint:
 
     format: str  # "conllu" or "jsonl"
     sha256: bytes  # digest of the file's bytes
-    documents: tuple[str, ...]  # doc ids, in file order
 
 
 @dataclass(frozen=True)
 class InvertedIndex:
     postings: Mapping[str, array]  # term -> ids: positions in ``sentences``
-    sentences: tuple[Ref, ...] = ()
+    documents: tuple[str, ...] = ()  # doc ids, in reading order
+    sentences: tuple[Ref, ...] = ()  # refs, in the order of their documents
     corpus: CorpusFingerprint | None = None
 
     def refs(self, term: str) -> tuple[Ref, ...]:
@@ -96,16 +97,17 @@ def index_term(field: str, value: str) -> str:
 def build_index(docs: Iterable[Document], workers: int = 1) -> InvertedIndex:
     """Index every token's lowercased surface and lemma, per sentence.
 
-    ``docs`` is read once, in order, and no sentence is kept: postings
-    are built on refs numbered in reading order, each document's sentences
-    by id, then renumbered in ref order unless the documents came in id
-    order.  ``workers`` is accepted for compatibility and ignored: the
-    build is pure-Python work, which threads only slow down.
+    ``docs`` is read once, in order, and no sentence is kept: sentence N
+    is the N-th sentence read that has a token, so every posting list is
+    built sorted.  ``workers`` is accepted for compatibility and ignored:
+    the build is pure-Python work, which threads only slow down.
     """
+    documents: list[str] = []
     refs: list[Ref] = []
     postings: dict[str, array] = {}
     for doc in docs:
-        for sent in sorted(doc.sentences, key=_BY_ID):
+        documents.append(doc.id)
+        for sent in doc.sentences:
             if not sent.tokens:
                 continue
             ref_id = len(refs)
@@ -117,14 +119,7 @@ def build_index(docs: Iterable[Document], workers: int = 1) -> InvertedIndex:
                         postings[term] = array("I", (ref_id,))
                     elif ids[-1] != ref_id:
                         ids.append(ref_id)
-    if all(map(lt, refs, refs[1:])):
-        return InvertedIndex(postings=postings, sentences=tuple(refs))
-    sentences = sorted(set(refs))  # equal refs (a repeated document id) become one
-    final = array("I", map({ref: i for i, ref in enumerate(sentences)}.__getitem__, refs))
-    for term, ids in postings.items():
-        ids = map(final.__getitem__, ids)
-        postings[term] = array("I", sorted(ids if len(sentences) == len(refs) else set(ids)))
-    return InvertedIndex(postings=postings, sentences=tuple(sentences))
+    return InvertedIndex(postings=postings, documents=tuple(documents), sentences=tuple(refs))
 
 
 def candidate_sentences(index: InvertedIndex, rule: Rule) -> set[Ref]:
@@ -151,7 +146,7 @@ def candidate_sentences(index: InvertedIndex, rule: Rule) -> set[Ref]:
 
 
 def _u32s(ids: array) -> bytes:
-    """``ids`` as little-endian u32 bytes, the file's spelling of a posting list."""
+    """``ids`` as little-endian u32 bytes, the file's spelling of an array."""
     if sys.byteorder == "big":
         ids = array("I", ids)
         ids.byteswap()
@@ -166,12 +161,24 @@ def _string(text: str, what: str) -> bytes:
     return struct.pack("<H", len(data)) + data
 
 
+def _counts(index: InvertedIndex) -> array:
+    """Each document's count of refs, which must follow the order of ``documents``."""
+    counts = array("I", bytes(4 * len(index.documents)))
+    at = 0
+    for doc_id, _ in index.sentences:
+        while index.documents[at] != doc_id:
+            at += 1
+        counts[at] += 1
+    return counts
+
+
 def save_index(index: InvertedIndex, path) -> None:
-    chunks: list[bytes] = [MAGIC, struct.pack("<H", VERSION)]
-    chunks.append(struct.pack("<I", len(index.sentences)))
-    for doc_id, sent_id in index.sentences:
-        chunks.append(_string(doc_id, "identifier"))
-        chunks.append(_string(sent_id, "identifier"))
+    import hashlib  # loads OpenSSL, which commands that write no index need not pay for
+
+    chunks: list[bytes] = [MAGIC, struct.pack("<HI", VERSION, len(index.documents))]
+    chunks.extend(_string(doc_id, "identifier") for doc_id in index.documents)
+    chunks.append(_u32s(_counts(index)))
+    chunks.extend(_string(sent_id, "identifier") for _, sent_id in index.sentences)
     terms = sorted(index.postings)
     chunks.append(struct.pack("<I", len(terms)))
     for term in terms:
@@ -183,10 +190,9 @@ def save_index(index: InvertedIndex, path) -> None:
     chunks.append(_string("" if corpus is None else corpus.format, "format"))
     if corpus is not None:
         chunks.append(corpus.sha256)
-        chunks.append(struct.pack("<I", len(corpus.documents)))
-        chunks.extend(_string(doc_id, "identifier") for doc_id in corpus.documents)
+    data = b"".join(chunks)
     try:
-        Path(path).write_bytes(b"".join(chunks))
+        Path(path).write_bytes(data + hashlib.sha256(data).digest())
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -213,15 +219,20 @@ class _Reader:
         """The next values, laid out as the ``struct`` format ``fmt``."""
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def u32s(self, count: int) -> array:
+        """The next ``count`` little-endian u32 values."""
+        ids = array("I", self.take(4 * count))
+        if sys.byteorder == "big":
+            ids.byteswap()
+        return ids
+
     def strings(self, count: int) -> list[str]:
         """The next ``count`` strings, each a u16 length and that many UTF-8 bytes.
 
         Each is checked whole before it is decoded, so a cut reads as
-        ``_TRUNCATED`` even inside a character.  Equal strings share one
-        ``str``, as the ids repeated across the ref table do.
+        ``_TRUNCATED`` even inside a character.
         """
         data, pos, size = self._data, self._pos, len(self._data)
-        decoded: dict[bytes, str] = {}
         strings: list[str] = []
         try:
             for _ in range(count):
@@ -229,11 +240,7 @@ class _Reader:
                 pos = start + (data[pos] | data[pos + 1] << 8)  # u16 length
                 if pos > size:
                     raise InputError(_TRUNCATED)
-                raw = data[start:pos]
-                text = decoded.get(raw)
-                if text is None:
-                    text = decoded[raw] = raw.decode("utf-8")
-                strings.append(text)
+                strings.append(data[start:pos].decode("utf-8"))
         except IndexError:  # the length itself is cut off
             raise InputError(_TRUNCATED)
         except UnicodeDecodeError:
@@ -246,6 +253,8 @@ class _Reader:
 
 
 def load_index(path) -> InvertedIndex:
+    import hashlib
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -261,23 +270,21 @@ def load_index(path) -> InvertedIndex:
         )
     if version != VERSION:
         raise InputError(f"{path}: unsupported index version {version}")
-    refs = reader.strings(2 * reader.unpack("<I")[0])  # a doc id and a sentence id per ref
-    sentences = tuple(zip(refs[::2], refs[1::2]))
+    documents = tuple(reader.strings(reader.unpack("<I")[0]))
+    counts = reader.u32s(len(documents))
+    doc_of_ref = chain.from_iterable(map(repeat, documents, counts))
+    sentences = tuple(zip(doc_of_ref, reader.strings(sum(counts))))
     postings: dict[str, array] = {}
     for _ in range(reader.unpack("<I")[0]):
         (term,) = reader.strings(1)
-        ids = array("I", reader.take(4 * reader.unpack("<I")[0]))
-        if sys.byteorder == "big":
-            ids.byteswap()
+        ids = postings[term] = reader.u32s(reader.unpack("<I")[0])
         if ids and max(ids) >= len(sentences):
             raise InputError(f"{path}: posting references unknown ref")
-        postings[term] = ids
-    corpus = None
     (fmt,) = reader.strings(1)
-    if fmt:
-        digest = reader.take(32)
-        documents = tuple(reader.strings(reader.unpack("<I")[0]))
-        corpus = CorpusFingerprint(format=fmt, sha256=digest, documents=documents)
+    corpus = CorpusFingerprint(format=fmt, sha256=reader.take(32)) if fmt else None
+    digest = reader.take(32)
     if not reader.done():
         raise InputError(f"{path}: trailing bytes after index data")
-    return InvertedIndex(postings=postings, sentences=sentences, corpus=corpus)
+    if hashlib.sha256(memoryview(data)[:-32]).digest() != digest:
+        raise InputError(f"{path}: index file is corrupt")
+    return InvertedIndex(postings=postings, documents=documents, sentences=sentences, corpus=corpus)

@@ -202,8 +202,7 @@ def test_an_index_whose_digest_matches_trusts_the_documents_it_leaves_out(tmp_pa
     ):
         corpus.write_text(text, encoding="utf-8")
         digest = hashlib.sha256(corpus.read_bytes()).digest()
-        fingerprint = CorpusFingerprint("conllu", digest, ("d1", "d2", "d3"))
-        save_index(replace(index, corpus=fingerprint), index_path)
+        save_index(replace(index, corpus=CorpusFingerprint("conllu", digest)), index_path)
         code, out, err = run("extract", "--corpus", str(corpus), "--index", str(index_path))
         assert (code, out) == indexed
         assert err == (f"error: {problem}\n" if code else "4 events\n")
@@ -314,14 +313,25 @@ def test_index_without_a_corpus_fingerprint_is_an_input_error(tmp_path):
             assert "rebuild the index with 'spacevents index'" in err
 
 
+def _renamed(index, names):
+    """``index`` with each document id in ``names`` renamed, in its table and in its refs."""
+    return replace(
+        index,
+        documents=tuple(names.get(doc_id, doc_id) for doc_id in index.documents),
+        sentences=tuple((names.get(doc_id, doc_id), sent) for doc_id, sent in index.sentences),
+    )
+
+
 def test_document_table_that_misplaces_a_document_is_an_input_error(tmp_path):
     # the table lists document ids in file order
     reversed_corpus = tmp_path / "reversed.conllu"
     reversed_corpus.write_text(serialize_conllu(load_small_corpus()[::-1]), encoding="utf-8")
     index_path = tmp_path / "reversed.idx"
     assert run("index", "--corpus", str(reversed_corpus), "--index", str(index_path))[0] == 0
-    assert load_index(index_path).corpus == CorpusFingerprint(
-        "conllu", hashlib.sha256(reversed_corpus.read_bytes()).digest(), ("d2", "d1")
+    index = load_index(index_path)
+    assert index.documents == ("d2", "d1")
+    assert index.corpus == CorpusFingerprint(
+        "conllu", hashlib.sha256(reversed_corpus.read_bytes()).digest()
     )
     indexed = run("extract", "--corpus", str(reversed_corpus), "--index", str(index_path))
     assert indexed == run("extract", "--corpus", CORPUS)
@@ -329,13 +339,15 @@ def test_document_table_that_misplaces_a_document_is_an_input_error(tmp_path):
     index_path = tmp_path / "small.idx"
     assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
     index = load_index(index_path)
-    assert index.corpus.documents == ("d1", "d2")
-    # ids swapped, a candidate document renamed, one missing, one past the end
-    for documents in (("d2", "d1"), ("d1", "d9"), ("d1",), ("d0", "d1", "d2")):
-        forged = replace(index, corpus=replace(index.corpus, documents=documents))
+    assert index.documents == ("d1", "d2")
+    for forged in (
+        _renamed(index, {"d1": "d2", "d2": "d1"}),  # ids swapped
+        _renamed(index, {"d2": "d9"}),  # a candidate document renamed
+        replace(index, documents=("d0", *index.documents)),  # each document one place late
+    ):
         save_index(forged, index_path)
         code, out, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
-        assert (code, out) == (1, ""), documents
+        assert (code, out) == (1, ""), forged.documents
         assert err == f"error: {index_path}: document table does not match the corpus\n"
 
 
@@ -361,8 +373,7 @@ def test_the_digest_is_checked_before_the_tables_and_the_corpus_itself(tmp_path)
         assert run("index", "--corpus", str(corpus), "--index", str(index_path))[0] == 0
         index = load_index(index_path)
         forged_path = tmp_path / "forged.idx"
-        forged = replace(index, corpus=replace(index.corpus, documents=("d2", "d1")))
-        save_index(forged, forged_path)
+        save_index(_renamed(index, {"d1": "d2", "d2": "d1"}), forged_path)
         data = corpus.read_bytes()
         assert data.count(old) == 1
         changed = tmp_path / f"changed{corpus.suffix}"
@@ -1205,12 +1216,55 @@ def test_non_utf8_string_inside_index_is_an_input_error(tmp_path):
     index_path = tmp_path / "corpus.idx"
     assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
     data = bytearray(index_path.read_bytes())
-    # magic (6) + version (2) + ref count (4) + first doc id length (2)
+    # magic (6) + version (2) + document count (4) + first doc id length (2)
     data[14] = 0xFF
     index_path.write_bytes(bytes(data))
     code, _, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
     assert code == 1
     assert "not UTF-8" in err
+
+
+def test_a_changed_index_byte_is_refused_never_a_different_answer(tmp_path):
+    index_path = tmp_path / "corpus.idx"
+    assert run("index", "--corpus", CORPUS, "--index", str(index_path))[0] == 0
+    data = index_path.read_bytes()
+    # one letter of a term the launch rule reads: the file still reads as an index
+    at = data.index(b"lemma:launch") + len("lemma:launc")
+    index_path.write_bytes(data[:at] + b"i" + data[at + 1 :])
+    assert run("extract", "--corpus", CORPUS, "--index", str(index_path)) == (
+        1, "", f"error: {index_path}: index file is corrupt\n"
+    )
+    rng = random.Random("changed-index-bytes")
+    for at in rng.sample(range(len(data)), 200):
+        value = rng.choice((0x00, 0xFF, 0x80, data[at] ^ 1, rng.randrange(256)))
+        if value == data[at]:
+            value ^= 1
+        index_path.write_bytes(data[:at] + bytes((value,)) + data[at + 1 :])
+        code, out, err = run("extract", "--corpus", CORPUS, "--index", str(index_path))
+        assert (code, out) == (1, ""), (at, value)
+        assert err.startswith("error: ") and err.count("\n") == 1, (at, value, err)
+
+
+def test_index_and_extract_print_the_same_under_any_hash_seed(tmp_path):
+    src = str(Path(spacevents.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        index_path = tmp_path / f"seed{seed}.idx"
+        for command in ("index", "extract"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "spacevents", command, "--corpus", CORPUS,
+                 "--index", str(index_path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs.append((index_path.read_bytes(), proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count("\n") == 4
 
 
 def test_malformed_corpus_reports_line(tmp_path):

@@ -154,11 +154,15 @@ def test_short_uppercase_forms_require_exact_case():
         Mention("s", 0, 3, "SPACECRAFT", "domain")
     ]
     # spaces around an alternate's `|` do not make it a long form
+    # nor do spaces around an alternate built in code
     padded = read_gazetteer("ORGANIZATION\tJapan Aerospace Exploration Agency\tISAS | JAXA \n")
     assert [entry.alternates for entry in padded] == [("ISAS", "JAXA")]
-    matcher = compile_gazetteer(padded)
-    assert tag_sentence(_flat(["jaxa"]), matcher) == []
-    assert tag_sentence(_flat(["JAXA"]), matcher) == [Mention("s", 0, 1, "ORGANIZATION", "domain")]
+    built = GazetteerEntry("ORGANIZATION", "Japan Aerospace Exploration Agency", ("   JAXA   ",))
+    for matcher in (compile_gazetteer(padded), compile_gazetteer([built])):
+        assert tag_sentence(_flat(["jaxa"]), matcher) == []
+        assert tag_sentence(_flat(["JAXA"]), matcher) == [
+            Mention("s", 0, 1, "ORGANIZATION", "domain")
+        ]
 
 
 def test_empty_gazetteer_rejected():
