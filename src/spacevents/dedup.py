@@ -15,16 +15,13 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .documents import Document
 from .errors import InputError
 
 DEFAULT_THRESHOLD = 0.90
 DEFAULT_UNSEEN_FRACTION = 0.41
-
-_SURFACE = attrgetter("surface")
 
 
 @dataclass(frozen=True)
@@ -37,26 +34,28 @@ class TermVector:
         object.__setattr__(self, "norm", math.sqrt(sum(c * c for c in self.counts.values())))
 
 
-def unigram_vector(doc: Document) -> TermVector:
-    """Raw lowercased unigram counts for one document.
+def term_vector(doc_id: str, surfaces: Iterable[str]) -> TermVector:
+    """Raw lowercased unigram counts of a document's token ``surfaces``.
 
     Tokens without a single alphanumeric character (bare punctuation)
     are not counted; a document with nothing countable is an error
     because cosine similarity would be undefined for it.
     """
-    surfaces: Counter[str] = Counter()
-    for sent in doc.sentences:
-        surfaces.update(map(_SURFACE, sent.tokens))
     counts: dict[str, int] = {}
-    for surface, n in surfaces.items():
+    for surface, n in Counter(surfaces).items():
         term = surface.lower()
         if term == surface:
             term = surface  # keep the token's string rather than a copy of it
         if term.isalnum() or any(ch.isalnum() for ch in term):
             counts[term] = counts.get(term, 0) + n
     if not counts:
-        raise InputError(f"document {doc.id!r} has no countable tokens")
-    return TermVector(doc_id=doc.id, counts=counts)
+        raise InputError(f"document {doc_id!r} has no countable tokens")
+    return TermVector(doc_id=doc_id, counts=counts)
+
+
+def unigram_vector(doc: Document) -> TermVector:
+    """``term_vector`` of the surfaces of ``doc``'s tokens."""
+    return term_vector(doc.id, (tok.surface for sent in doc.sentences for tok in sent.tokens))
 
 
 def cosine_similarity(a: TermVector, b: TermVector) -> float:

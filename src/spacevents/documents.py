@@ -15,7 +15,11 @@ they read them, a few at a time, and the public parsers return the list.
 Each parser alone decides where a document starts.  Given ``keep``, a map
 from a document's position in the file to the ids of the sentences wanted
 in it, a parser builds only those sentences of those documents, so an
-index can name them without knowing where they lie.
+index can name them without knowing where they lie.  In ``words`` mode,
+which ``dedup`` and ``validate`` read in, a reader makes every check it
+makes in full but keeps a sentence that passes only as its tokens'
+surfaces, building no token, edge or sentence; a sentence that fails is
+built and refused as in a full read.
 
 Every loaded sentence is checked for structural sanity: exactly one edge
 per token, exactly one root, no cycles.  Edges are kept in a canonical
@@ -49,7 +53,7 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date
 from functools import cached_property, wraps
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, lt
 from typing import Iterable, Iterator
 
@@ -345,8 +349,8 @@ def _collector_paused(read):
     """
 
     @wraps(read)
-    def paused(*args):
-        documents = read(*args)
+    def paused(*args, **kwargs):
+        documents = read(*args, **kwargs)
         while True:
             enabled = gc.isenabled()
             gc.disable()
@@ -377,8 +381,8 @@ _set_head, _set_dependent, _set_label = (getattr(DepEdge, f.name).__set__ for f 
 _TOKENS_KEPT = 1 << 15
 
 
-def _sharing(token_fields=None) -> tuple:
-    """One parse call's ``(token_of, new_token, edge_of, new_edge)``.
+def _sharing(token_fields=None, words=False) -> tuple:
+    """One parse call's ``(token_of, new_token, edge_of, new_edge, close)``.
 
     ``token_of(key) or new_token(key)`` is the one token for ``key``, an
     index and five strings (or None) that ``token_fields(key, share)`` turns
@@ -388,6 +392,9 @@ def _sharing(token_fields=None) -> tuple:
     distinct value, so a lemma equal to its surface is that surface.  The
     token table is emptied when it holds ``_TOKENS_KEPT`` tokens; strings
     grow with the vocabulary and edges with sentence length and labels.
+    ``close``, given ``_sentence``'s arguments, is ``_sentence``; in ``words``
+    mode ``token_of`` and ``edge_of`` return their key, and ``close`` gives
+    the keys' surfaces, shared, building the sentence only when it fails.
     """
     tokens: dict[tuple, Token] = {}
     edges: dict[tuple, DepEdge] = {}
@@ -417,7 +424,27 @@ def _sharing(token_fields=None) -> tuple:
         _set_label(edge, label)
         return edge
 
-    return tokens.get, new_token, edges.get, new_edge
+    if not words:
+        return tokens.get, new_token, edges.get, new_edge, _sentence
+
+    def surfaces(sent_id, keys, edge_keys, heads, ok, seen, doc_id, line) -> list[str]:
+        if sent_id not in seen and ok and _is_tree(heads):
+            seen.add(sent_id)
+        else:  # built as in full mode, so refused (or kept) as there
+            built = [tokens.get(k) or new_token(k) for k in keys]
+            linked = [edges.get(k) or new_edge(k) for k in edge_keys]
+            _sentence(sent_id, built, linked, heads, ok, seen, doc_id, line)
+        return [share(key[1], key[1]) for key in keys]
+
+    # tuple(key) is key: each token and edge stays the key full mode looks up
+    return tuple, new_token, tuple, new_edge, surfaces
+
+
+def _document(words: bool, doc_id: str, sentences: list, facts: dict):
+    """A reader's document: in ``words`` mode, one with no sentences and its surfaces."""
+    if words:
+        return Document(doc_id, (), **facts), list(chain.from_iterable(sentences))
+    return Document(doc_id, sentences, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +482,7 @@ def parse_conllu(source) -> list[Document]:
 
 
 @_collector_paused
-def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
+def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
     """Each document of CoNLL-U ``lines`` (as ``_lines`` gives them), in order.
 
     A document starts at a ``# newdoc id`` line and closes at the next one
@@ -467,7 +494,8 @@ def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
     token lines, so the token lines of a sentence left out, or of any
     sentence of a document left out, are skipped unread; holding neither
     id nor tokens, it closes as nothing.  What is skipped is not checked:
-    filter only text that parses in full.
+    filter only text that parses in full.  In ``words`` mode each document
+    comes as ``_document`` gives it, with its surfaces.
     """
     position = -1  # of the current document
     wanted = None  # the ids of the current document's sentences to keep, None for all
@@ -480,7 +508,7 @@ def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
     edges: list[DepEdge] = []
     heads: list[int] = []
     skip = False  # the current sentence is left out
-    token_of, new_token, edge_of, new_edge = _sharing(_conllu_token_fields)
+    token_of, new_token, edge_of, new_edge, close = _sharing(_conllu_token_fields, words)
 
     def close_sentence() -> None:
         nonlocal sent_id, sent_line, tokens, edges, heads
@@ -493,15 +521,15 @@ def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
         if not tokens:
             raise ParseError(f"sentence {sent_id!r} has no tokens", line=sent_line)
         sentences.append(
-            _sentence(sent_id, tokens, edges, heads, True, sent_ids, doc_meta["id"], sent_line)
+            close(sent_id, tokens, edges, heads, True, sent_ids, doc_meta["id"], sent_line)
         )
         sent_id, sent_line, tokens, edges, heads = None, 0, [], [], []
 
-    def close_doc() -> Document | None:
+    def close_doc():
         nonlocal doc_meta, sentences, sent_ids
         doc = None
         if doc_meta is not None and (keep is None or position in keep):
-            doc = Document(sentences=sentences, **doc_meta)
+            doc = _document(words, doc_meta.pop("id"), sentences, doc_meta)
         doc_meta, sentences, sent_ids = None, [], set()
         return doc
 
@@ -661,7 +689,7 @@ def _read_sentences(
     test, so ``_sentence`` has ``sentence_issues`` explain it after its
     edges are read.
     """
-    token_of, new_token, edge_of, new_edge = shared
+    token_of, new_token, edge_of, new_edge, close = shared
     sentences: list[Sentence] = []
     seen: set[str] = set()
     for i, raw_sent in enumerate(raw_sentences):
@@ -723,11 +751,11 @@ def _read_sentences(
                 ok = False
             key = (head, dep, label)
             edges.append(edge_of(key) or new_edge(key))
-        sentences.append(_sentence(sent_id, tokens, edges, heads, ok, seen, doc_id, line))
+        sentences.append(close(sent_id, tokens, edges, heads, ok, seen, doc_id, line))
     return sentences
 
 
-def _doc_from_dict(obj, line: int, shared: tuple, wanted) -> Document:
+def _doc_from_dict(obj, line: int, shared: tuple, wanted, words: bool):
     if type(obj) is not dict:
         raise SchemaError("document record must be an object", line=line)
     doc_id = obj.get("id")
@@ -743,7 +771,8 @@ def _doc_from_dict(obj, line: int, shared: tuple, wanted) -> Document:
     raw_sentences = obj.get("sentences")
     if type(raw_sentences) is not list:
         raise _refused(obj, "sentences", line)
-    return Document(doc_id, _read_sentences(raw_sentences, line, doc_id, shared, wanted), **facts)
+    sentences = _read_sentences(raw_sentences, line, doc_id, shared, wanted)
+    return _document(words, doc_id, sentences, facts)
 
 
 def parse_jsonl_documents(source) -> list[Document]:
@@ -752,7 +781,7 @@ def parse_jsonl_documents(source) -> list[Document]:
 
 
 @_collector_paused
-def read_jsonl(lines: Iterable[str], keep=None) -> Iterator[Document]:
+def read_jsonl(lines: Iterable[str], keep=None, words=False) -> Iterator:
     """Each document of JSON ``lines`` (as ``_lines`` gives them), in order and in batches.
 
     A document is a record of ``json_lines``, and its position counts
@@ -761,12 +790,13 @@ def read_jsonl(lines: Iterable[str], keep=None) -> Iterator[Document]:
     value: a record left out is never decoded, and in a record kept only
     the sentences kept are read past their id (``_read_sentences``).  What
     is left out is not checked: filter only text that parses in full.
+    ``words`` mode is ``read_conllu``'s.
     """
-    shared = _sharing()
+    shared = _sharing(None, words)
     for position, (line_no, line) in enumerate(json_lines(lines)):
         if keep is None or position in keep:
             wanted = None if keep is None else keep[position]
-            yield _doc_from_dict(json_value(line, line_no), line_no, shared, wanted)
+            yield _doc_from_dict(json_value(line, line_no), line_no, shared, wanted, words)
 
 
 def document_to_dict(doc: Document) -> dict:

@@ -165,10 +165,13 @@ def _counts(index: InvertedIndex) -> array:
     """Each document's count of refs, which must follow the order of ``documents``."""
     counts = array("I", bytes(4 * len(index.documents)))
     at = 0
-    for doc_id, _ in index.sentences:
-        while index.documents[at] != doc_id:
-            at += 1
-        counts[at] += 1
+    try:
+        for doc_id, _ in index.sentences:
+            while index.documents[at] != doc_id:
+                at += 1
+            counts[at] += 1
+    except IndexError:
+        raise InputError(f"index refs do not follow its document table at {doc_id!r}") from None
     return counts
 
 

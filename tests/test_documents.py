@@ -319,6 +319,18 @@ def test_a_filtered_parse_is_the_full_parse_restricted_to_what_it_keeps():
             assert list(READERS[fmt](_lines(text), keep)) == expected, (fmt, keep)
 
 
+def test_readers_take_keep_and_words_by_keyword():
+    docs = load_small_corpus()
+    keep = {0: {"s1"}, 1: set()}
+    for text, fmt in ((serialize_conllu(docs), "conllu"),
+                      (serialize_jsonl_documents(docs), "jsonl")):
+        read = READERS[fmt]
+        assert list(read(_lines(text), keep=keep)) == list(read(_lines(text), keep))
+        words = list(read(_lines(text), keep, True))
+        assert list(read(_lines(text), keep=keep, words=True)) == words
+        assert [doc.id for doc, _ in read(lines=_lines(text), words=True)] == ["d1", "d2"]
+
+
 def _conllu(*lines):
     return "\n".join(lines) + "\n"
 
@@ -827,10 +839,24 @@ def test_parsed_tokens_and_edges_match_ones_their_constructor_builds():
 
 
 def _outcome(parse, source):
+    """``parse(source)``'s documents, or its exception's type, message and ``.line``."""
     try:
         return parse(source)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _without_line(outcome):
+    return outcome if isinstance(outcome, list) else outcome[:2]
+
+
+def _as_words(outcome):
+    """A full parse's outcome as a words-mode read gives it: each document
+    without its sentences, paired with its surfaces, or the same exception."""
+    if not isinstance(outcome, list):
+        return outcome
+    return [(replace(doc, sentences=()), [t.surface for s in doc.sentences for t in s.tokens])
+            for doc in outcome]
 
 
 @pytest.mark.parametrize(
@@ -845,7 +871,10 @@ def test_parsers_agree_with_their_reference_on_mutated_corpora(
     fmt, parse, reference, serialize, mutate
 ):
     # the first 250 corpora hold one fault each; the rest stack two or three,
-    # which in JSONL all fall in one record, so the order of checks shows
+    # which in JSONL all fall in one record, so the order of checks shows.
+    # Each also goes through the words-mode reader, which must refuse it
+    # alike or read the same documents and surfaces.
+    read = READERS[fmt]
     rng = random.Random(f"mutants/{fmt}")
     accepted = refused = stacked_refused = 0
     for n in range(750):
@@ -856,8 +885,11 @@ def test_parsers_agree_with_their_reference_on_mutated_corpora(
         if n % 5 == 0:
             text = text.replace("\n", "\r\n")
         source = text.splitlines(keepends=True) if n % 7 == 0 else text
-        expected = _outcome(reference, source)
-        assert _outcome(parse, source) == expected, text
+        expected = _without_line(_outcome(reference, source))
+        full = _outcome(parse, source)
+        assert _without_line(full) == expected, text
+        words = _outcome(lambda source: list(read(_lines(source), words=True)), source)
+        assert words == _as_words(full), text
         if faults > 1:
             stacked_refused += not isinstance(expected, list)
         elif isinstance(expected, list):
@@ -896,3 +928,21 @@ def test_parsers_pause_the_collector_and_restore_its_state():
         finally:
             gc.enable()
     assert states and not any(states)
+
+
+def test_a_parse_builds_no_reference_cycles():
+    # _collector_paused turns the collector off on this promise
+    for docs in (load_small_corpus(),
+                 random_corpus(random.Random("no cycles"), 20, entity_chance=0.3, dated=True)):
+        for text, fmt in ((serialize_conllu(docs), "conllu"),
+                          (serialize_jsonl_documents(docs), "jsonl")):
+            for words in (False, True):
+                gc.collect()
+                gc.disable()
+                try:
+                    parsed = list(READERS[fmt](_lines(text), words=words))
+                    assert len(parsed) == len(docs)
+                    del parsed
+                    assert gc.collect() == 0, (fmt, words)
+                finally:
+                    gc.enable()

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from array import array
 from dataclasses import replace
 from importlib import resources
 
@@ -152,6 +153,22 @@ def test_serialization_is_deterministic(tmp_path):
     candidates = [candidate_sentences(forward, rule) for rule in rules]
     assert candidates == [candidate_sentences(backward, rule) for rule in rules]
     assert any(candidates)
+
+
+@pytest.mark.parametrize(
+    "documents, refs, at",
+    [((), (("d1", "s1"),), "d1"), (("d2", "d1"), (("d1", "s1"), ("d2", "s1")), "d2")],
+)
+def test_an_index_whose_refs_do_not_follow_its_document_table_is_not_saved(
+    tmp_path, documents, refs, at
+):
+    index = InvertedIndex(postings={"lemma:launch": array("I", [0])}, documents=documents,
+                          sentences=refs)
+    path = tmp_path / "bad.idx"
+    with pytest.raises(InputError) as caught:
+        save_index(index, path)
+    assert str(caught.value) == f"index refs do not follow its document table at {at!r}"
+    assert not path.exists()
 
 
 def _fingerprinted():
