@@ -6,11 +6,16 @@ to stdout as JSON lines (the score/stats/errors tables are plain text);
 diagnostics go to stderr.  Exit codes: 0 success, 1 input error, 2
 internal error.
 
-Every subcommand is a pure function of its inputs and flags, and record
-output is fully sorted, so two runs over the same files produce
-byte-identical output regardless of ``--workers``.  A corpus is read as a
-stream of documents (``_documents``), and stdout is written only once the
-command has succeeded, so an input that fails anywhere prints nothing.
+Each subcommand, ``_cmd_*(args, err)``, prints its diagnostics to
+``err`` and returns its standard output: the table text for score,
+stats and errors, ``""`` for validate and index, and for the others a
+generator of records.  ``main`` alone writes stdout: it spells each
+record as a JSON line (``documents.json_line``) and holds the lines
+until the command has succeeded, so an input that fails anywhere prints
+nothing.  Every subcommand is a pure function of its inputs and flags,
+and record output is fully sorted, so two runs over the same files
+produce byte-identical output regardless of ``--workers``.  A corpus is
+read as a stream of documents (``_documents``).
 
 Each subcommand imports the library modules it uses when it runs, so
 start-up loads only those.
@@ -25,7 +30,6 @@ from contextlib import redirect_stderr
 from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterator
 
 from .errors import InputError, SpaceventsError
@@ -131,12 +135,11 @@ def _documents(path: str, fmt: str | None, on_block=None, keep=None, words=False
             raise undecodable
 
     read = read_conllu if _corpus_format(path, fmt) == "conllu" else read_jsonl
-    args = (keep, True) if words else (keep,)
     blocks = texts()
     seen: set[str] = set()
     repeated = None
     try:
-        for item in read(chain.from_iterable(map(_lines, blocks)), *args):
+        for item in read(chain.from_iterable(map(_lines, blocks)), keep=keep, words=words):
             doc_id = item[0].id if words else item.id
             if doc_id in seen and repeated is None:
                 repeated = doc_id
@@ -164,33 +167,27 @@ def _load_rules(path: str | None):
     return parse_rules(text)
 
 
-def _emit(out, record: dict) -> None:
-    out.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-    out.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_ingest(args, out, err) -> int:
-    from .documents import serialize_jsonl_documents
+def _cmd_ingest(args, err) -> Iterator[dict]:
+    from .documents import document_to_dict
 
     count = 0
     for doc in _documents(args.corpus, args.format):
-        out.write(serialize_jsonl_documents([doc]))
+        yield document_to_dict(doc)
         count += 1
     print(f"ingested {count} documents", file=err)
-    return 0
 
 
-def _cmd_validate(args, out, err) -> int:
+def _cmd_validate(args, err) -> str:
     count = sum(1 for _ in _documents(args.corpus, args.format, words=True))
     print(f"corpus ok: {count} documents", file=err)
-    return 0
+    return ""
 
 
-def _cmd_dedup(args, out, err) -> int:
+def _cmd_dedup(args, err) -> Iterator[dict]:
     from .dedup import (
         DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, assign_splits, pool_vectors, term_vector
     )
@@ -210,45 +207,37 @@ def _cmd_dedup(args, out, err) -> int:
     assignment = pool_vectors(vectors, threshold=threshold)
     assignment = assign_splits(assignment, dated, unseen_fraction=unseen)
     for doc_id in sorted(assignment.pool_of):
-        _emit(
-            out,
-            {
-                "doc_id": doc_id,
-                "pool_id": assignment.pool_of[doc_id],
-                "split": assignment.split_for(doc_id),
-            },
-        )
+        yield {
+            "doc_id": doc_id,
+            "pool_id": assignment.pool_of[doc_id],
+            "split": assignment.split_for(doc_id),
+        }
     print(f"{len(assignment.split_of)} pools over {len(assignment.pool_of)} documents", file=err)
-    return 0
 
 
-def _cmd_ner(args, out, err) -> int:
+def _cmd_ner(args, err) -> Iterator[dict]:
     from .gazetteer import ner_layer
 
     layer = ner_layer(_load_gazetteer(args.gazetteer))
     for doc in _documents(args.corpus, args.format):
         for sent in doc.sentences:
             mentions = layer(sent)
-            _emit(
-                out,
-                {
-                    "doc_id": doc.id,
-                    "sentence_id": sent.id,
-                    "mentions": [
-                        {
-                            "start": m.start,
-                            "end": m.end,
-                            "type": m.entity_type,
-                            "origin": m.origin,
-                        }
-                        for m in mentions
-                    ],
-                },
-            )
-    return 0
+            yield {
+                "doc_id": doc.id,
+                "sentence_id": sent.id,
+                "mentions": [
+                    {
+                        "start": m.start,
+                        "end": m.end,
+                        "type": m.entity_type,
+                        "origin": m.origin,
+                    }
+                    for m in mentions
+                ],
+            }
 
 
-def _cmd_index(args, out, err) -> int:
+def _cmd_index(args, err) -> str:
     import hashlib  # loads OpenSSL, which commands that take no digest need not pay for
 
     from .index import CorpusFingerprint, build_index, save_index
@@ -263,7 +252,7 @@ def _cmd_index(args, out, err) -> int:
         f"{len(index)} terms -> {args.index}",
         file=err,
     )
-    return 0
+    return ""
 
 
 def _candidate_documents(args, index, rules) -> Iterator:
@@ -357,17 +346,15 @@ def _extract(args, kept: list | None = None):
     return extract_events(docs, rules, ner=layer, workers=args.workers)
 
 
-def _cmd_extract(args, out, err) -> int:
+def _cmd_extract(args, err) -> Iterator[dict]:
     from .matching import event_to_dict
 
     events = _extract(args)
-    for event in events:
-        _emit(out, event_to_dict(event))
+    yield from map(event_to_dict, events)
     print(f"{len(events)} events", file=err)
-    return 0
 
 
-def _cmd_shortlist(args, out, err) -> int:
+def _cmd_shortlist(args, err) -> Iterator[dict]:
     from .matching import event_to_dict
     from .schemas import sample_fractions, shortlist
 
@@ -375,37 +362,31 @@ def _cmd_shortlist(args, out, err) -> int:
     events = _extract(args)
     candidates = shortlist(events, sample=sample, seed=args.seed)
     for cand in candidates:
-        _emit(
-            out,
-            {
-                "doc_id": cand.doc_id,
-                "sentence_id": cand.sentence_id,
-                "event_type": cand.event_type,
-                "sampled": cand.sampled,
-                "events": [event_to_dict(ev) for ev in cand.events],
-            },
-        )
+        yield {
+            "doc_id": cand.doc_id,
+            "sentence_id": cand.sentence_id,
+            "event_type": cand.event_type,
+            "sampled": cand.sampled,
+            "events": [event_to_dict(ev) for ev in cand.events],
+        }
     kept = sum(1 for c in candidates if c.sampled)
     print(f"{kept} of {len(candidates)} candidate sentences sampled", file=err)
-    return 0
 
 
-def _cmd_export_annotation(args, out, err) -> int:
+def _cmd_export_annotation(args, err) -> Iterator[dict]:
     from .schemas import ANNOTATION_HEADER, annotation_task_records, sample_fractions, shortlist
 
     sample = sample_fractions(dict(args.sample))  # checked before any file is read
     docs: list = []
     events = _extract(args, kept=docs)
     candidates = shortlist(events, sample=sample, seed=args.seed)
-    _emit(out, ANNOTATION_HEADER)
+    yield ANNOTATION_HEADER
     records = annotation_task_records(candidates, docs)
-    for record in records:
-        _emit(out, record)
+    yield from records
     print(f"exported {len(records)} annotation tasks", file=err)
-    return 0
 
 
-def _write_report(args, out, table: str, payload: dict) -> None:
+def _report(args, table: str, payload: dict) -> str:
     # the JSON first, so a path that cannot be written leaves stdout empty
     if args.json:
         try:
@@ -414,36 +395,33 @@ def _write_report(args, out, table: str, payload: dict) -> None:
             )
         except OSError as exc:
             raise InputError(f"cannot write {args.json}: {exc.strerror or exc}")
-    out.write(table + "\n")
+    return table + "\n"
 
 
-def _cmd_score(args, out, err) -> int:
+def _cmd_score(args, err) -> str:
     from .evaluation import read_annotations, score_slots
 
     gold = read_annotations(_read_text(args.gold))
     pred = read_annotations(_read_text(args.pred))
     report = score_slots(gold, pred)
-    _write_report(args, out, report.format_table(), report.to_dict())
-    return 0
+    return _report(args, report.format_table(), report.to_dict())
 
 
-def _cmd_stats(args, out, err) -> int:
+def _cmd_stats(args, err) -> str:
     from .evaluation import corpus_stats, format_stats, read_annotations
 
     rows = corpus_stats(read_annotations(_read_text(args.annotations)))
-    _write_report(args, out, format_stats(rows), {"rows": [asdict(row) for row in rows]})
-    return 0
+    return _report(args, format_stats(rows), {"rows": [asdict(row) for row in rows]})
 
 
-def _cmd_errors(args, out, err) -> int:
+def _cmd_errors(args, err) -> str:
     from .evaluation import classify_errors, read_annotations
 
     gold = read_annotations(_read_text(args.gold))
     pred = read_annotations(_read_text(args.pred))
     buckets = classify_errors(gold, pred)
     payload = {**asdict(buckets), "proportions": buckets.proportions()}
-    _write_report(args, out, buckets.format_table(), payload)
-    return 0
+    return _report(args, buckets.format_table(), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +535,19 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    chunks: list[str] = []
     try:
-        code = args.func(args, SimpleNamespace(write=chunks.append), err)
+        output = args.func(args, err)
+        if isinstance(output, str):
+            chunks = [output]
+        else:
+            from .documents import json_line
+
+            # a chunk per record, held until the command has succeeded (one
+            # joined string would double ingest's peak memory)
+            chunks = [json_line(record) for record in output]
         for chunk in chunks:
             out.write(chunk)
-        return code
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=err)
         return 1

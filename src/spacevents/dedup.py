@@ -120,8 +120,6 @@ def pool_duplicates(
     docs: Sequence[Document], threshold: float = DEFAULT_THRESHOLD
 ) -> PoolAssignment:
     """Group documents into near-duplicate pools: ``pool_vectors`` of their unigram vectors."""
-    if not 0.0 < threshold <= 1.0:
-        raise InputError(f"threshold must be in (0, 1], got {threshold}")
     return pool_vectors([unigram_vector(doc) for doc in docs], threshold)
 
 

@@ -34,7 +34,8 @@ only a sentence that fails it goes to ``sentence_issues``, which owns
 every structure message.  A refused sentence is reported at its first
 line, with its document.  ``json_lines`` alone decides which lines of a
 JSON-lines file, here or of annotations, are records; ``json_value``
-decodes each.  A JSONL record is read once, by ``_doc_from_dict`` and
+decodes each, and ``json_line`` spells each record that any command
+writes.  A JSONL record is read once, by ``_doc_from_dict`` and
 ``_read_sentences``, which passes over a sentence ``keep`` leaves out:
 each value's exact JSON type is checked in record order, and only the
 first value refused builds a message, through ``_refused``, raised where
@@ -476,7 +477,8 @@ def parse_conllu(source) -> list[Document]:
     """Parse CoNLL-U text (a string or a line iterable) into documents.
 
     Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
-    rejected; the corpus contract is one syntactic token per line.
+    rejected; the corpus contract is one syntactic token per line.  An ID
+    or HEAD is ASCII digits with no sign, padding or leading zero.
     """
     return list(read_conllu(_lines(source)))
 
@@ -595,6 +597,8 @@ def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
                 raise ParseError(
                     f"token id {index1} out of sequence (expected {index + 1})", line=line_no
                 )
+            if str(index1) != tid:  # one spelling per number: no sign, padding or leading zero
+                raise ParseError(f"malformed token id {tid!r}", line=line_no)
         if not index:
             sent_line = sent_line or line_no
         if not form:
@@ -607,6 +611,8 @@ def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
                 raise ParseError(f"malformed head {head!r}", line=line_no)
             if head1 < 0:
                 raise ParseError(f"negative head {head1}", line=line_no)
+            if str(head1) != head:
+                raise ParseError(f"malformed head {head!r}", line=line_no)
         key = (index, form, lemma, upos, xpos, misc)
         tokens.append(token_of(key) or new_token(key))
         head0 = head1 - 1  # CoNLL-U head 0 is the root, and ROOT == -1
@@ -819,9 +825,10 @@ def document_to_dict(doc: Document) -> dict:
     return record
 
 
+def json_line(record) -> str:
+    """``record`` as one compact JSON line, ``\n`` included: every JSON-lines output's spelling."""
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
 def serialize_jsonl_documents(docs: Iterable[Document]) -> str:
-    lines = [
-        json.dumps(document_to_dict(doc), ensure_ascii=False, separators=(",", ":"))
-        for doc in docs
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(json_line(document_to_dict(doc)) for doc in docs)

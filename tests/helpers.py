@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from datetime import date, timedelta
 from itertools import count
 from pathlib import Path
@@ -459,6 +460,10 @@ def _parse_date(value: str, line: int) -> date:
         raise ParseError(f"collected_at is not an ISO date: {value!r}", line=line)
 
 
+# the one spelling of a token id or head: ASCII digits, no sign, padding or leading zero
+_PLAIN_NUMBER = re.compile("0|[1-9][0-9]*")
+
+
 def reference_parse_conllu(source) -> list[Document]:
     """Parse CoNLL-U text (a string or a line iterable) into documents.
 
@@ -587,6 +592,8 @@ def reference_parse_conllu(source) -> list[Document]:
             raise ParseError(
                 f"token id {index1} out of sequence (expected {expected})", line=line_no
             )
+        if not _PLAIN_NUMBER.fullmatch(tid):
+            raise ParseError(f"malformed token id {tid!r}", line=line_no)
         if not form:
             raise ParseError("empty FORM column", line=line_no)
         try:
@@ -595,6 +602,8 @@ def reference_parse_conllu(source) -> list[Document]:
             raise ParseError(f"malformed head {head!r}", line=line_no)
         if head1 < 0:
             raise ParseError(f"negative head {head1}", line=line_no)
+        if not _PLAIN_NUMBER.fullmatch(head):
+            raise ParseError(f"malformed head {head!r}", line=line_no)
         ner = chunk = None
         if misc and misc != "_":
             for part in misc.split("|"):

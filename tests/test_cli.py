@@ -161,8 +161,8 @@ def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monk
     parsed = []
     original = documents.read_conllu
 
-    def recording(lines, keep=None):
-        for doc in original(lines, keep):
+    def recording(lines, keep=None, words=False):
+        for doc in original(lines, keep=keep, words=words):
             parsed.append(doc.id)
             yield doc
 
@@ -244,8 +244,8 @@ def test_indexed_commands_build_only_the_candidate_sentences(tmp_path, monkeypat
 
         built = []
         for name in ("read_conllu", "read_jsonl"):
-            def recording(lines, keep=None, original=getattr(documents, name)):
-                for doc in original(lines, keep):
+            def recording(lines, keep=None, words=False, original=getattr(documents, name)):
+                for doc in original(lines, keep=keep, words=words):
                     built.extend((doc.id, sent.id) for sent in doc.sentences)
                     yield doc
 

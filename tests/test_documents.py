@@ -448,6 +448,35 @@ def test_conllu_empty_form_and_bad_head():
         parse_conllu(_conllu(*base, "1\ta\ta\tX\t_\t_\tx\troot\t_\t_"))
 
 
+@pytest.mark.parametrize(
+    "tid, head, problem",
+    [
+        ("+1", "0", "malformed token id '+1'"),
+        (" 1", "0", "malformed token id ' 1'"),
+        ("01", "0", "malformed token id '01'"),
+        ("0_1", "0", "malformed token id '0_1'"),
+        ("\u0661", "0", "malformed token id '\u0661'"),
+        ("1", "+0", "malformed head '+0'"),
+        ("1", "00", "malformed head '00'"),
+        ("1", " 0 ", "malformed head ' 0 '"),
+        ("1", "\u0660", "malformed head '\u0660'"),
+        ("1", "-0", "malformed head '-0'"),
+        # refused before, with the same message
+        ("1-2", "0", "multiword token ranges are not supported"),
+        ("1.1", "0", "empty nodes are not supported"),
+        ("+2", "0", "token id 2 out of sequence (expected 1)"),
+        ("1", "-1", "negative head -1"),
+        ("1", "-01", "negative head -1"),
+    ],
+)
+def test_conllu_token_id_and_head_take_one_spelling_per_number(tid, head, problem):
+    text = _conllu("# newdoc id = d", "# sent_id = s", f"{tid}\ta\ta\tX\t_\t_\t{head}\troot\t_\t_")
+    for parse in (parse_conllu, reference_parse_conllu):
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == f"line 3: {problem}"
+
+
 def test_jsonl_error_messages_carry_field_paths():
     with pytest.raises(SchemaError, match="line 1: invalid JSON"):
         parse_jsonl_documents("{nope")
@@ -602,6 +631,11 @@ def test_sentence_issues_structural_catalogue():
         "s", tokens[:1], (DepEdge(ROOT, 0, "root"), DepEdge(0, 5, "dep"))
     )
     assert any("out of range" in issue for issue in sentence_issues(out_of_range))
+
+    misplaced = Sentence("s", (tokens[1], tokens[0], tokens[2]), ok.edges)
+    assert sentence_issues(misplaced) == [
+        "token at position 0 carries index 1", "token at position 1 carries index 0"
+    ]
 
 
 def test_splits_constant():

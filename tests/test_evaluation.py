@@ -465,6 +465,27 @@ def test_score_slots_counts_and_order():
     ]
 
 
+def test_values_outside_the_schemas_and_splits_come_after_them_by_name():
+    records = [
+        _ann("s1", "DOCKING", [(0, 1, "Port")]),
+        _ann("s2", "BERTHING", [(0, 1, "Arm")]),
+        _ann("s3", "LAUNCH", [(0, 1, "Payload"), (1, 2, "Date"), (2, 3, "Booster")]),
+    ]
+    report = score_slots(records, records)
+    assert [(r.event_type, r.slot) for r in report.rows] == [
+        ("LAUNCH", "Date"),
+        ("LAUNCH", "Booster"),
+        ("LAUNCH", "Payload"),
+        ("BERTHING", "Arm"),
+        ("DOCKING", "Port"),
+    ]
+    splits = ("holdout", "dev", "extra", "train")
+    rows = corpus_stats(
+        [_ann(f"s{i}", "LAUNCH", [], split=split, n_tokens=3) for i, split in enumerate(splits)]
+    )
+    assert [r.split for r in rows] == ["train", "dev", "extra", "holdout"]
+
+
 def test_micro_average_pools_generic_slots():
     report = score_slots(GOLD, PRED)
     micro = {r.slot: r for r in report.micro}

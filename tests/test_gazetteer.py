@@ -168,6 +168,10 @@ def test_short_uppercase_forms_require_exact_case():
 def test_empty_gazetteer_rejected():
     with pytest.raises(InputError, match="gazetteer is empty"):
         compile_gazetteer([])
+    # the canonical form is checked on construction, an alternate when compiled
+    with pytest.raises(InputError) as caught:
+        compile_gazetteer([GazetteerEntry("ORGANIZATION", "NASA", ("  ",))])
+    assert str(caught.value) == "gazetteer form '  ' tokenizes to nothing"
 
 
 def test_generic_mentions_coalesce_runs():

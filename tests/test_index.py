@@ -8,6 +8,7 @@ import pytest
 
 from spacevents import (
     InvertedIndex,
+    Sentence,
     build_index,
     candidate_sentences,
     load_index,
@@ -56,6 +57,13 @@ def test_len_counts_terms():
     index = build_index(load_small_corpus())
     assert len(index) == len(index.postings) > 0
     assert build_index([]).postings == {}
+
+
+def test_a_sentence_with_no_tokens_gets_no_ref():
+    docs = load_small_corpus()
+    first = docs[0]
+    docs[0] = replace(first, sentences=(Sentence("empty", (), ()), *first.sentences))
+    assert build_index(docs) == build_index(load_small_corpus())
 
 
 def test_worker_count_does_not_change_postings():

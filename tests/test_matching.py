@@ -128,6 +128,14 @@ def test_chunk_span_repairs_orphan_inside_tag():
         ],
     )
     assert chunk_span(run, 1) == (0, 2)
+    relabelled = make_sentence(
+        "s",
+        [
+            ("Ariane", "Ariane", "PROPN", 1, "compound", None, "B-VP"),
+            ("5", "5", "NUM", -1, "root", None, "I-NP"),
+        ],
+    )
+    assert chunk_span(relabelled, 1) == (1, 2)
 
 
 def test_chunk_span_pos_fallback():
