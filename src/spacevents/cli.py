@@ -104,17 +104,16 @@ def _corpus_format(path: str, fmt: str | None) -> str:
     return fmt or ("conllu" if path.endswith(".conllu") else "jsonl")
 
 
-def _documents(path: str, fmt: str | None, on_block=None, keep=None, words=False) -> Iterator:
+def _documents(path: str, fmt: str | None, on_block=None, keep=None) -> Iterator:
     """Each document of the corpus at ``path``, as soon as it is parsed.
 
     The bytes are decoded a block at a time, as they are: the parsers own
     line endings and where each document starts.  ``on_block`` sees every
     block's bytes, whatever fault is found, and ``keep`` is the parser's
-    filter (see ``read_conllu``), as ``words`` is its words mode.  A fault
-    is raised once the file is read, as a whole-file read would raise it:
-    a byte that is not UTF-8 first, then a parse error, then a repeated
-    document id (output is keyed by document and sentence id, so every
-    command refuses one).
+    filter (see ``read_conllu``).  A fault is raised once the file is read,
+    as a whole-file read would raise it: a byte that is not UTF-8 first,
+    then a parse error, then a repeated document id (output is keyed by
+    document and sentence id, so every command refuses one).
     """
     from .documents import _lines, read_conllu, read_jsonl
 
@@ -139,12 +138,11 @@ def _documents(path: str, fmt: str | None, on_block=None, keep=None, words=False
     seen: set[str] = set()
     repeated = None
     try:
-        for item in read(chain.from_iterable(map(_lines, blocks)), keep=keep, words=words):
-            doc_id = item[0].id if words else item.id
-            if doc_id in seen and repeated is None:
-                repeated = doc_id
-            seen.add(doc_id)
-            yield item
+        for doc in read(chain.from_iterable(map(_lines, blocks)), keep=keep):
+            if doc.id in seen and repeated is None:
+                repeated = doc.id
+            seen.add(doc.id)
+            yield doc
     except InputError:
         for _ in blocks:  # read the rest: a byte that is not UTF-8 wins
             pass
@@ -182,24 +180,24 @@ def _cmd_ingest(args, err) -> Iterator[dict]:
 
 
 def _cmd_validate(args, err) -> str:
-    count = sum(1 for _ in _documents(args.corpus, args.format, words=True))
+    count = sum(1 for _ in _documents(args.corpus, args.format))
     print(f"corpus ok: {count} documents", file=err)
     return ""
 
 
 def _cmd_dedup(args, err) -> Iterator[dict]:
     from .dedup import (
-        DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, assign_splits, pool_vectors, term_vector
+        DEFAULT_THRESHOLD, DEFAULT_UNSEEN_FRACTION, assign_splits, pool_vectors, unigram_vector
     )
 
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     unseen = DEFAULT_UNSEEN_FRACTION if args.unseen_fraction is None else args.unseen_fraction
     # a document is kept as its term vector and its id and date, all assign_splits reads
     dated, vectors, uncountable = [], [], None
-    for doc, surfaces in _documents(args.corpus, args.format, words=True):
-        dated.append(doc)
+    for doc in _documents(args.corpus, args.format):
+        dated.append(replace(doc, sentences=()))
         try:
-            vectors.append(term_vector(doc.id, surfaces))
+            vectors.append(unigram_vector(doc))
         except InputError as exc:  # raised once the whole corpus has parsed
             uncountable = uncountable or exc
     if uncountable:

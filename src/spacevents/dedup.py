@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .documents import Document
@@ -55,7 +56,7 @@ def term_vector(doc_id: str, surfaces: Iterable[str]) -> TermVector:
 
 def unigram_vector(doc: Document) -> TermVector:
     """``term_vector`` of the surfaces of ``doc``'s tokens."""
-    return term_vector(doc.id, (tok.surface for sent in doc.sentences for tok in sent.tokens))
+    return term_vector(doc.id, chain.from_iterable(sent.surfaces for sent in doc.sentences))
 
 
 def cosine_similarity(a: TermVector, b: TermVector) -> float:

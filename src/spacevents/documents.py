@@ -15,11 +15,16 @@ they read them, a few at a time, and the public parsers return the list.
 Each parser alone decides where a document starts.  Given ``keep``, a map
 from a document's position in the file to the ids of the sentences wanted
 in it, a parser builds only those sentences of those documents, so an
-index can name them without knowing where they lie.  In ``words`` mode,
-which ``dedup`` and ``validate`` read in, a reader makes every check it
-makes in full but keeps a sentence that passes only as its tokens'
-surfaces, building no token, edge or sentence; a sentence that fails is
-built and refused as in a full read.
+index can name them without knowing where they lie.
+
+A parsed sentence is its columns: per token a surface, lemma, POS,
+generic NER label, chunk tag, head and edge label, each a tuple.  Its
+``tokens`` and ``edges`` are built from them only when first read, and
+every reader in the package reads the columns instead.  Within one parse
+call, equal strings in the columns share one object.  ``Sentence(id,
+tokens, edges)`` takes any tokens and edges, however malformed, so that
+``sentence_issues`` can explain them; its columns follow the rule of
+``head_of``.
 
 Every loaded sentence is checked for structural sanity: exactly one edge
 per token, exactly one root, no cycles.  Edges are kept in a canonical
@@ -28,21 +33,18 @@ the order edges appeared in the input.
 
 The two parsers share one reader of document facts, ``_fact``, whose
 inverse ``_fact_texts`` serves both writers, and one sentence check,
-``_sentence``: a sentence's id must be new in its document, and its head
-links must pass ``_is_tree``, a single-pass test that builds no message;
-only a sentence that fails it goes to ``sentence_issues``, which owns
-every structure message.  A refused sentence is reported at its first
-line, with its document.  ``json_lines`` alone decides which lines of a
-JSON-lines file, here or of annotations, are records; ``json_value``
-decodes each, and ``json_line`` spells each record that any command
-writes.  A JSONL record is read once, by ``_doc_from_dict`` and
-``_read_sentences``, which passes over a sentence ``keep`` leaves out:
-each value's exact JSON type is checked in record order, and only the
-first value refused builds a message, through ``_refused``, raised where
-the value is found.  Within one parse call, equal tokens, equal edges and
-equal strings in them share one object each, through ``_sharing``, which
-builds a new (frozen) token or edge with ``object.__new__`` and its slot
-descriptors instead of the dataclass ``__init__``.  The cyclic garbage
+``_sentence``: a sentence's id must be new in its document, and its heads
+must pass ``_is_tree``, a single-pass test that builds no message; only a
+sentence that fails it is built from tokens and edges and goes to
+``sentence_issues``, which owns every structure message.  A refused
+sentence is reported at its first line, with its document.  ``json_lines``
+alone decides which lines of a JSON-lines file, here or of annotations,
+are records; ``json_value`` decodes each, and ``json_line`` spells each
+record that any command writes.  A JSONL record is read once, by
+``_doc_from_dict`` and ``_read_sentences``, which passes over a sentence
+``keep`` leaves out: each value's exact JSON type is checked in record
+order, and only the first value refused builds a message, through
+``_refused``, raised where the value is found.  The cyclic garbage
 collector is paused while a parser runs, since parsing creates no cycles.
 """
 
@@ -51,10 +53,10 @@ from __future__ import annotations
 import gc
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date
 from functools import cached_property, wraps
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter, lt
 from typing import Iterable, Iterator
 
@@ -83,43 +85,80 @@ class DepEdge:
 
 
 _BY_DEPENDENT = attrgetter("dependent")
+_TOKEN_FIELDS = attrgetter("surface", "lemma", "pos", "generic_ner", "chunk")
+
+# A sentence's columns, in the order of ``Token``'s fields and then ``DepEdge``'s.
+_COLUMNS = ("surfaces", "lemmas", "pos", "ners", "chunks", "heads", "labels")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sentence:
+    """A sentence: its id and, per token, its columns.
+
+    ``surfaces``, ``lemmas``, ``pos``, ``ners`` (generic NER, or None) and
+    ``chunks`` (or None) hold the token fields, ``heads`` each token's
+    head index (``ROOT`` for the root) and ``labels`` its edge label.
+    ``tokens`` and ``edges``, the dataclass fields, are built from the
+    columns when first read.  A sentence built from tokens and edges
+    keeps them, and its columns follow ``head_of``'s rule: a token's head
+    and label come from the last edge to it, ``ROOT`` and ``""`` without
+    one.  Equality, hashing and ``repr`` are the dataclass's, over ``id``,
+    ``tokens`` and ``edges``.
+    """
+
     id: str
+    # fields for equality, hashing, ``repr`` and ``dataclasses.replace``; each
+    # is the cached property of its name below, so a parsed sentence builds it late
     tokens: tuple[Token, ...]
     edges: tuple[DepEdge, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=_BY_DEPENDENT))
-        )
+    def __init__(self, id: str, tokens: Iterable[Token], edges: Iterable[DepEdge]):
+        tokens = tuple(tokens)
+        edges = tuple(sorted(edges, key=_BY_DEPENDENT))
+        n = len(tokens)
+        heads, labels = [ROOT] * n, [""] * n
+        for edge in edges:
+            if 0 <= edge.dependent < n:
+                heads[edge.dependent], labels[edge.dependent] = edge.head, edge.label
+        columns = tuple(zip(*map(_TOKEN_FIELDS, tokens))) or ((),) * 5
+        self.__dict__.update(zip(_COLUMNS, (*columns, tuple(heads), tuple(labels))))
+        self.__dict__.update(id=id, tokens=tokens, edges=edges)
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        columns = self.surfaces, self.lemmas, self.pos, self.ners, self.chunks
+        return tuple(map(Token, range(len(self.surfaces)), *columns))
+
+    @cached_property
+    def edges(self) -> tuple[DepEdge, ...]:
+        return tuple(map(DepEdge, self.heads, range(len(self.heads)), self.labels))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
     def text(self) -> str:
-        return " ".join(tok.surface for tok in self.tokens)
+        return " ".join(self.surfaces)
 
     @cached_property
     def head_of(self) -> tuple[tuple[int, str], ...]:
         """Per token: (head index or ROOT, edge label)."""
-        arr: list[tuple[int, str]] = [(ROOT, "")] * len(self.tokens)
-        for edge in self.edges:
-            if 0 <= edge.dependent < len(arr):
-                arr[edge.dependent] = (edge.head, edge.label)
-        return tuple(arr)
+        return tuple(zip(self.heads, self.labels))
 
     @cached_property
     def dependents_of(self) -> tuple[tuple[tuple[int, str], ...], ...]:
         """Per token: ((dependent index, edge label), ...) for outgoing edges."""
-        out: list[list[tuple[int, str]]] = [[] for _ in self.tokens]
-        for edge in self.edges:
-            if 0 <= edge.head < len(out):
-                out[edge.head].append((edge.dependent, edge.label))
-        return tuple(tuple(deps) for deps in out)
+        out: list[list[tuple[int, str]]] = [[] for _ in self.heads]
+        for dependent, (head, label) in enumerate(zip(self.heads, self.labels)):
+            if 0 <= head < len(out):
+                out[head].append((dependent, label))
+        return tuple([tuple(deps) for deps in out])
+
+
+def _parsed(sent_id: str, columns: tuple) -> Sentence:
+    """The sentence a parser read: ``columns`` in ``_COLUMNS`` order, each a tuple."""
+    sent = object.__new__(Sentence)
+    sent.__dict__.update(zip(_COLUMNS, columns), id=sent_id)
+    return sent
 
 
 @dataclass(frozen=True)
@@ -312,17 +351,24 @@ def _fact_texts(doc: Document) -> Iterator[tuple[str, str]]:
         yield "split", doc.split
 
 
-def _sentence(sent_id, tokens, edges, heads, ok, seen, doc_id, line) -> Sentence:
+def _sentence(sent_id, columns, seen, doc_id, line, parts=None) -> Sentence:
     """The sentence a reader found at ``line`` of document ``doc_id``, once it is checked.
 
-    Its id must be new among the ids in ``seen``, to which it is then added,
-    and its head links one tree: ``ok`` False, or ``heads`` failing
-    ``_is_tree``, has ``sentence_issues`` explain the sentence.
+    Its id must be new among the ids in ``seen``, to which it is then added.
+    ``columns`` are its columns in ``_COLUMNS`` order, and it is built from
+    them when ``parts`` is None and its heads pass ``_is_tree``.  Otherwise
+    it is built from tokens and edges, ``parts`` or else the ones the
+    columns give, and ``sentence_issues`` explains it.
     """
     if sent_id in seen:
         raise ParseError(f"duplicate sentence id {sent_id!r} in document {doc_id!r}", line=line)
-    sent = Sentence(sent_id, tokens, edges)
-    if not (ok and _is_tree(heads)):
+    if parts is None and _is_tree(columns[5]):
+        sent = _parsed(sent_id, columns)
+    else:
+        if parts is None:
+            built = _parsed(sent_id, columns)
+            parts = built.tokens, built.edges
+        sent = Sentence(sent_id, *parts)
         problems = sentence_issues(sent)
         if problems:
             raise StructureError(
@@ -363,89 +409,9 @@ def _collector_paused(read):
             if not batch:
                 return
             yield from batch
+            del batch  # freed before the next batch is built, unless the caller holds it
 
     return paused
-
-
-# A new token or edge is built without the frozen ``__init__``, which sets
-# each field through ``object.__setattr__``: ``object.__new__``, then each
-# slot's own member descriptor.  Unpacking fails on import if a field is added.
-_new = object.__new__
-_set_index, _set_surface, _set_lemma, _set_pos, _set_ner, _set_chunk = (
-    getattr(Token, f.name).__set__ for f in fields(Token)
-)
-_set_head, _set_dependent, _set_label = (getattr(DepEdge, f.name).__set__ for f in fields(DepEdge))
-
-
-# Tokens a parse keeps for sharing, so a parse that yields documents as it
-# goes holds no more of the tokens it built for earlier ones.
-_TOKENS_KEPT = 1 << 15
-
-
-def _sharing(token_fields=None, words=False) -> tuple:
-    """One parse call's ``(token_of, new_token, edge_of, new_edge, close)``.
-
-    ``token_of(key) or new_token(key)`` is the one token for ``key``, an
-    index and five strings (or None) that ``token_fields(key, share)`` turns
-    into the token's fields (without it, they are the key); ``edge_of(key)
-    or new_edge(key)`` is the one edge for ``(head, dependent, label)``.  A
-    new token or edge, and the key it is stored under, hold one ``str`` per
-    distinct value, so a lemma equal to its surface is that surface.  The
-    token table is emptied when it holds ``_TOKENS_KEPT`` tokens; strings
-    grow with the vocabulary and edges with sentence length and labels.
-    ``close``, given ``_sentence``'s arguments, is ``_sentence``; in ``words``
-    mode ``token_of`` and ``edge_of`` return their key, and ``close`` gives
-    the keys' surfaces, shared, building the sentence only when it fails.
-    """
-    tokens: dict[tuple, Token] = {}
-    edges: dict[tuple, DepEdge] = {}
-    share = {}.setdefault
-
-    def new_token(key: tuple) -> Token:
-        index, a, b, c, d, e = key
-        key = (index, share(a, a), share(b, b), share(c, c), share(d, d), share(e, e))
-        index, surface, lemma, pos, ner, chunk = token_fields(key, share) if token_fields else key
-        if len(tokens) == _TOKENS_KEPT:
-            tokens.clear()
-        token = tokens[key] = _new(Token)
-        _set_index(token, index)
-        _set_surface(token, surface)
-        _set_lemma(token, lemma)
-        _set_pos(token, pos)
-        _set_ner(token, ner)
-        _set_chunk(token, chunk)
-        return token
-
-    def new_edge(key: tuple) -> DepEdge:
-        head, dependent, label = key
-        label = share(label, label)
-        edge = edges[head, dependent, label] = _new(DepEdge)
-        _set_head(edge, head)
-        _set_dependent(edge, dependent)
-        _set_label(edge, label)
-        return edge
-
-    if not words:
-        return tokens.get, new_token, edges.get, new_edge, _sentence
-
-    def surfaces(sent_id, keys, edge_keys, heads, ok, seen, doc_id, line) -> list[str]:
-        if sent_id not in seen and ok and _is_tree(heads):
-            seen.add(sent_id)
-        else:  # built as in full mode, so refused (or kept) as there
-            built = [tokens.get(k) or new_token(k) for k in keys]
-            linked = [edges.get(k) or new_edge(k) for k in edge_keys]
-            _sentence(sent_id, built, linked, heads, ok, seen, doc_id, line)
-        return [share(key[1], key[1]) for key in keys]
-
-    # tuple(key) is key: each token and edge stays the key full mode looks up
-    return tuple, new_token, tuple, new_edge, surfaces
-
-
-def _document(words: bool, doc_id: str, sentences: list, facts: dict):
-    """A reader's document: in ``words`` mode, one with no sentences and its surfaces."""
-    if words:
-        return Document(doc_id, (), **facts), list(chain.from_iterable(sentences))
-    return Document(doc_id, sentences, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +425,43 @@ _TOKEN_LINE_START = frozenset("0123456789")
 _DECIMAL = {str(i): i for i in range(1024)}
 
 
-def _conllu_token_fields(key: tuple, share) -> tuple:
-    """A token's field values from its key: index, FORM, LEMMA, UPOS, XPOS and MISC."""
-    index, form, lemma, upos, xpos, misc = key
-    ner = chunk = None
-    if misc and misc != "_":
+class _Misc(dict):
+    """MISC text -> its ``Ner`` and ``Chunk`` values, each text split once per parse call."""
+
+    def __init__(self, share):
+        self._share = share
+
+    def __missing__(self, misc: str) -> tuple:
+        ner = chunk = None
         for part in misc.split("|"):
-            k, _, v = part.partition("=")
-            if k == "Ner":
-                ner = share(v, v)
-            elif k == "Chunk":
-                chunk = share(v, v)
-    return index, form, lemma if lemma != "_" else form, upos if upos != "_" else xpos, ner, chunk
+            key, _, value = part.partition("=")
+            if key == "Ner":
+                ner = self._share(value, value)
+            elif key == "Chunk":
+                chunk = self._share(value, value)
+        self[misc] = pair = (ner, chunk)
+        return pair
+
+
+def _shared(values, share) -> tuple:
+    """``values``, each string as the one object ``share`` (a ``dict.setdefault``) keeps for it.
+
+    A column of None and empty strings, such as an absent NER layer, is
+    kept as it is.  The tuple is built from a list, so it is allocated at
+    its size: one grown from an iterator is allocated at a guessed size and
+    resized, and a parse would leave thousands of them in CPython's tuple
+    free lists.
+    """
+    if not any(values):
+        return tuple(values)
+    return tuple(list(map(share, values, values)))
+
+
+def _or(values: tuple, fallbacks: tuple, share) -> tuple:
+    """``_shared`` of each of ``values`` or, where it is ``_``, the fallback at its position."""
+    if "_" in values:
+        values = [f if v == "_" else v for v, f in zip(values, fallbacks)]
+    return _shared(values, share)
 
 
 def parse_conllu(source) -> list[Document]:
@@ -484,7 +475,7 @@ def parse_conllu(source) -> list[Document]:
 
 
 @_collector_paused
-def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
+def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
     """Each document of CoNLL-U ``lines`` (as ``_lines`` gives them), in order.
 
     A document starts at a ``# newdoc id`` line and closes at the next one
@@ -496,8 +487,7 @@ def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
     token lines, so the token lines of a sentence left out, or of any
     sentence of a document left out, are skipped unread; holding neither
     id nor tokens, it closes as nothing.  What is skipped is not checked:
-    filter only text that parses in full.  In ``words`` mode each document
-    comes as ``_document`` gives it, with its surfaces.
+    filter only text that parses in full.
     """
     position = -1  # of the current document
     wanted = None  # the ids of the current document's sentences to keep, None for all
@@ -506,32 +496,37 @@ def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
     sent_ids: set[str] = set()
     sent_id: str | None = None
     sent_line = 0
-    tokens: list[Token] = []
-    edges: list[DepEdge] = []
+    rows: list[list[str]] = []  # the current sentence's token lines, split into columns
     heads: list[int] = []
     skip = False  # the current sentence is left out
-    token_of, new_token, edge_of, new_edge, close = _sharing(_conllu_token_fields, words)
+    share = {}.setdefault
+    misc_fields = _Misc(share)
 
     def close_sentence() -> None:
-        nonlocal sent_id, sent_line, tokens, edges, heads
-        if sent_id is None and not tokens:
+        nonlocal sent_id, sent_line, rows, heads
+        if sent_id is None and not rows:
             return
         if doc_meta is None:
             raise ParseError("sentence outside any '# newdoc id' block", line=sent_line)
         if sent_id is None:
             raise ParseError("sentence is missing a '# sent_id' comment", line=sent_line)
-        if not tokens:
+        if not rows:
             raise ParseError(f"sentence {sent_id!r} has no tokens", line=sent_line)
-        sentences.append(
-            close(sent_id, tokens, edges, heads, True, sent_ids, doc_meta["id"], sent_line)
+        _, forms, lemmas, upos, xpos, _, _, labels, _, miscs = zip(*rows)
+        surfaces = _shared(forms, share)
+        ners, chunks = zip(*list(map(misc_fields.__getitem__, miscs)))
+        columns = (
+            surfaces, _or(lemmas, surfaces, share), _or(upos, xpos, share), ners, chunks,
+            tuple(heads), _shared(labels, share),
         )
-        sent_id, sent_line, tokens, edges, heads = None, 0, [], [], []
+        sentences.append(_sentence(sent_id, columns, sent_ids, doc_meta["id"], sent_line))
+        sent_id, sent_line, rows, heads = None, 0, [], []
 
     def close_doc():
         nonlocal doc_meta, sentences, sent_ids
         doc = None
         if doc_meta is not None and (keep is None or position in keep):
-            doc = _document(words, doc_meta.pop("id"), sentences, doc_meta)
+            doc = Document(doc_meta.pop("id"), sentences, **doc_meta)
         doc_meta, sentences, sent_ids = None, [], set()
         return doc
 
@@ -541,7 +536,7 @@ def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
                 close_sentence()
                 continue
             if line.startswith("#"):
-                if tokens:
+                if rows:
                     raise ParseError("comment lines must precede token lines", line=line_no)
                 if "\r" in line:
                     # a file with lone \r line endings reads as one comment line
@@ -582,8 +577,8 @@ def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
             raise ParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line=line_no
             )
-        tid, form, lemma, upos, xpos, _feats, head, deprel, _deps, misc = cols
-        index = len(tokens)
+        tid, form, _, _, _, _, head, _, _, _ = cols
+        index = len(rows)
         if _DECIMAL.get(tid) != index + 1:
             if "-" in tid:
                 raise ParseError("multiword token ranges are not supported", line=line_no)
@@ -613,17 +608,18 @@ def read_conllu(lines: Iterable[str], keep=None, words=False) -> Iterator:
                 raise ParseError(f"negative head {head1}", line=line_no)
             if str(head1) != head:
                 raise ParseError(f"malformed head {head!r}", line=line_no)
-        key = (index, form, lemma, upos, xpos, misc)
-        tokens.append(token_of(key) or new_token(key))
-        head0 = head1 - 1  # CoNLL-U head 0 is the root, and ROOT == -1
-        heads.append(head0)
-        key = (head0, index, deprel)
-        edges.append(edge_of(key) or new_edge(key))
+        rows.append(cols)
+        heads.append(head1 - 1)  # CoNLL-U head 0 is the root, and ROOT == -1
 
     close_sentence()
     doc = close_doc()
     if doc is not None:
         yield doc
+
+
+def _rows(sent: Sentence) -> Iterator[tuple]:
+    """Each token's columns, in ``_COLUMNS`` order."""
+    return zip(*(getattr(sent, name) for name in _COLUMNS))
 
 
 def serialize_conllu(docs: Iterable[Document]) -> str:
@@ -633,30 +629,15 @@ def serialize_conllu(docs: Iterable[Document]) -> str:
         out.extend(f"# {key} = {text}" for key, text in _fact_texts(doc))
         for sent in doc.sentences:
             out.append(f"# sent_id = {sent.id}")
-            by_dep = {edge.dependent: edge for edge in sent.edges}
-            for tok in sent.tokens:
-                edge = by_dep[tok.index]
+            for i, (surface, lemma, pos, ner, chunk, head, label) in enumerate(_rows(sent), 1):
                 misc_parts = []
-                if tok.generic_ner is not None:
-                    misc_parts.append(f"Ner={tok.generic_ner}")
-                if tok.chunk is not None:
-                    misc_parts.append(f"Chunk={tok.chunk}")
-                out.append(
-                    "\t".join(
-                        (
-                            str(tok.index + 1),
-                            tok.surface,
-                            tok.lemma,
-                            tok.pos,
-                            "_",
-                            "_",
-                            str(edge.head + 1) if edge.head != ROOT else "0",
-                            edge.label,
-                            "_",
-                            "|".join(misc_parts) or "_",
-                        )
-                    )
-                )
+                if ner is not None:
+                    misc_parts.append(f"Ner={ner}")
+                if chunk is not None:
+                    misc_parts.append(f"Chunk={chunk}")
+                misc = "|".join(misc_parts) or "_"
+                cols = (str(i), surface, lemma, pos, "_", "_", str(head + 1), label, "_", misc)
+                out.append("\t".join(cols))
             out.append("")
     return "\n".join(out) + ("\n" if out else "")
 
@@ -681,21 +662,19 @@ def _refused(obj: dict, key: str, line: int, path: str = "") -> SchemaError:
     return SchemaError(f"field {path}{key} has the wrong type", line=line)
 
 
-def _read_sentences(
-    raw_sentences: list, line: int, doc_id: str, shared: tuple, wanted
-) -> list[Sentence]:
+def _read_sentences(raw_sentences: list, line: int, doc_id: str, share, wanted) -> list[Sentence]:
     """A JSONL record's sentences, raising the message of the first value refused.
 
     Each value is checked once, in record order, for its exact JSON type
     (``type(x) is``), and a message is built only for the value refused.
     With ``wanted``, a set of ids, a sentence whose id is not in it is
-    passed over once its object and id are checked.
+    passed over once its object and id are checked.  ``share`` is the
+    parse call's ``dict.setdefault`` for strings.
     An empty surface, or edges that do not give each token one head, are
-    not refused on sight: they keep the sentence from the ``_is_tree``
-    test, so ``_sentence`` has ``sentence_issues`` explain it after its
-    edges are read.
+    not refused on sight: they keep the sentence from its columns, so
+    ``_sentence`` builds it from its tokens and edges as read, and
+    ``sentence_issues`` explains it.
     """
-    token_of, new_token, edge_of, new_edge, close = shared
     sentences: list[Sentence] = []
     seen: set[str] = set()
     for i, raw_sent in enumerate(raw_sentences):
@@ -714,7 +693,7 @@ def _read_sentences(
             raise _refused(raw_sent, "edges", line, f"sentences[{i}].")
         n = len(raw_tokens)
         ok = len(raw_edges) == n  # every token has a surface and one head, so far
-        tokens: list[Token] = []
+        rows: list[tuple] = []
         for j, raw_tok in enumerate(raw_tokens):
             if type(raw_tok) is not dict:
                 raise SchemaError(f"sentences[{i}].tokens[{j}] must be an object", line=line)
@@ -735,10 +714,9 @@ def _read_sentences(
                 raise _refused(raw_tok, "chunk", line, f"sentences[{i}].tokens[{j}].")
             if not surface:
                 ok = False
-            key = (j, surface, lemma, pos, ner, chunk)
-            tokens.append(token_of(key) or new_token(key))
+            rows.append((surface, lemma, pos, ner, chunk))
         heads: list = [None] * n
-        edges: list[DepEdge] = []
+        labels: list = [None] * n
         for j, raw_edge in enumerate(raw_edges):
             if type(raw_edge) is not dict:
                 raise SchemaError(f"sentences[{i}].edges[{j}] must be an object", line=line)
@@ -753,15 +731,27 @@ def _read_sentences(
                 raise _refused(raw_edge, "label", line, f"sentences[{i}].edges[{j}].")
             if 0 <= dep < n and heads[dep] is None:
                 heads[dep] = head
+                labels[dep] = label
             else:
                 ok = False
-            key = (head, dep, label)
-            edges.append(edge_of(key) or new_edge(key))
-        sentences.append(close(sent_id, tokens, edges, heads, ok, seen, doc_id, line))
+        if ok:
+            surfaces, lemmas, pos, ners, chunks = zip(*rows) if rows else ((),) * 5
+            columns = (
+                _shared(surfaces, share), _shared(lemmas, share), _shared(pos, share),
+                _shared(ners, share), _shared(chunks, share), tuple(heads), _shared(labels, share),
+            )
+            parts = None
+        else:  # built as read, for sentence_issues
+            columns = ()
+            parts = (
+                [Token(j, *row) for j, row in enumerate(rows)],
+                [DepEdge(edge["head"], edge["dep"], edge["label"]) for edge in raw_edges],
+            )
+        sentences.append(_sentence(sent_id, columns, seen, doc_id, line, parts))
     return sentences
 
 
-def _doc_from_dict(obj, line: int, shared: tuple, wanted, words: bool):
+def _doc_from_dict(obj, line: int, share, wanted) -> Document:
     if type(obj) is not dict:
         raise SchemaError("document record must be an object", line=line)
     doc_id = obj.get("id")
@@ -777,8 +767,7 @@ def _doc_from_dict(obj, line: int, shared: tuple, wanted, words: bool):
     raw_sentences = obj.get("sentences")
     if type(raw_sentences) is not list:
         raise _refused(obj, "sentences", line)
-    sentences = _read_sentences(raw_sentences, line, doc_id, shared, wanted)
-    return _document(words, doc_id, sentences, facts)
+    return Document(doc_id, _read_sentences(raw_sentences, line, doc_id, share, wanted), **facts)
 
 
 def parse_jsonl_documents(source) -> list[Document]:
@@ -787,7 +776,7 @@ def parse_jsonl_documents(source) -> list[Document]:
 
 
 @_collector_paused
-def read_jsonl(lines: Iterable[str], keep=None, words=False) -> Iterator:
+def read_jsonl(lines: Iterable[str], keep=None) -> Iterator[Document]:
     """Each document of JSON ``lines`` (as ``_lines`` gives them), in order and in batches.
 
     A document is a record of ``json_lines``, and its position counts
@@ -796,13 +785,12 @@ def read_jsonl(lines: Iterable[str], keep=None, words=False) -> Iterator:
     value: a record left out is never decoded, and in a record kept only
     the sentences kept are read past their id (``_read_sentences``).  What
     is left out is not checked: filter only text that parses in full.
-    ``words`` mode is ``read_conllu``'s.
     """
-    shared = _sharing(None, words)
+    share = {}.setdefault
     for position, (line_no, line) in enumerate(json_lines(lines)):
         if keep is None or position in keep:
             wanted = None if keep is None else keep[position]
-            yield _doc_from_dict(json_value(line, line_no), line_no, shared, wanted, words)
+            yield _doc_from_dict(json_value(line, line_no), line_no, share, wanted)
 
 
 def document_to_dict(doc: Document) -> dict:
@@ -810,17 +798,15 @@ def document_to_dict(doc: Document) -> dict:
     record.update(_fact_texts(doc))
     record["sentences"] = []
     for sent in doc.sentences:
-        tokens = []
-        for tok in sent.tokens:
-            t: dict = {"surface": tok.surface, "lemma": tok.lemma, "pos": tok.pos}
-            if tok.generic_ner is not None:
-                t["ner"] = tok.generic_ner
-            if tok.chunk is not None:
-                t["chunk"] = tok.chunk
+        tokens, edges = [], []
+        for i, (surface, lemma, pos, ner, chunk, head, label) in enumerate(_rows(sent)):
+            t: dict = {"surface": surface, "lemma": lemma, "pos": pos}
+            if ner is not None:
+                t["ner"] = ner
+            if chunk is not None:
+                t["chunk"] = chunk
             tokens.append(t)
-        edges = [
-            {"head": e.head, "dep": e.dependent, "label": e.label} for e in sent.edges
-        ]
+            edges.append({"head": head, "dep": i, "label": label})
         record["sentences"].append({"id": sent.id, "tokens": tokens, "edges": edges})
     return record
 

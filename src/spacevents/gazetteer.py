@@ -36,12 +36,15 @@ class GazetteerEntry:
         object.__setattr__(self, "alternates", tuple(self.alternates))
         if self.entity_type not in ENTITY_TYPES:
             raise InputError(f"unknown gazetteer entity type {self.entity_type!r}")
-        if not self.canonical.strip():
+        if not self.canonical.split():
             raise InputError("gazetteer entry has an empty canonical form")
         if self.canonical in self.alternates:
             raise InputError(
                 f"alternate duplicates canonical form: {self.canonical!r}"
             )
+        for form in self.alternates:
+            if not form.split():  # the tokens a matcher reads a form as
+                raise InputError(f"gazetteer form {form!r} tokenizes to nothing")
 
     def forms(self) -> tuple[str, ...]:
         return (self.canonical, *self.alternates)
@@ -81,8 +84,6 @@ class GazetteerMatcher:
 
     def _insert(self, entity_type: str, form: str) -> None:
         tokens = tuple(form.split())
-        if not tokens:
-            raise InputError(f"gazetteer form {form!r} tokenizes to nothing")
         node = self._root
         for tok in tokens:
             node = node.children.setdefault(tok.lower(), _TrieNode())
@@ -146,7 +147,7 @@ def read_gazetteer(source) -> list[GazetteerEntry]:
 
 def tag_sentence(sentence: Sentence, matcher: GazetteerMatcher) -> list[Mention]:
     """Non-overlapping, leftmost-longest domain mentions for one sentence."""
-    surfaces = [tok.surface for tok in sentence.tokens]
+    surfaces = sentence.surfaces
     folded = [s.lower() for s in surfaces]
     mentions: list[Mention] = []
     i = 0
@@ -169,17 +170,15 @@ def generic_mentions(sentence: Sentence) -> list[Mention]:
     mentions: list[Mention] = []
     run_label: str | None = None
     run_start = 0
-    for i, tok in enumerate(sentence.tokens):
-        label = tok.generic_ner if tok.generic_ner not in (None, "O", "") else None
+    for i, ner in enumerate(sentence.ners):
+        label = ner if ner not in (None, "O", "") else None
         if label != run_label:
             if run_label is not None:
                 mentions.append(Mention(sentence.id, run_start, i, run_label, "generic"))
             run_label = label
             run_start = i
     if run_label is not None:
-        mentions.append(
-            Mention(sentence.id, run_start, len(sentence.tokens), run_label, "generic")
-        )
+        mentions.append(Mention(sentence.id, run_start, len(sentence), run_label, "generic"))
     return mentions
 
 

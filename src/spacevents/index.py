@@ -108,12 +108,12 @@ def build_index(docs: Iterable[Document], workers: int = 1) -> InvertedIndex:
     for doc in docs:
         documents.append(doc.id)
         for sent in doc.sentences:
-            if not sent.tokens:
+            if not sent.surfaces:
                 continue
             ref_id = len(refs)
             refs.append((doc.id, sent.id))
-            for tok in sent.tokens:
-                for term in (index_term("surface", tok.surface), index_term("lemma", tok.lemma)):
+            for surface, lemma in zip(sent.surfaces, sent.lemmas):
+                for term in (index_term("surface", surface), index_term("lemma", lemma)):
                     ids = postings.get(term)
                     if ids is None:
                         postings[term] = array("I", (ref_id,))

@@ -58,7 +58,8 @@ def traverse_path(
 
     The result is the final frontier minus the start token itself.
     """
-    if not 0 <= start < len(sentence.tokens):
+    heads, labels = sentence.heads, sentence.labels
+    if not 0 <= start < len(heads):
         raise InputError(f"start token {start} out of range")
     frontier = {start}
     for step in path:
@@ -70,9 +71,8 @@ def traverse_path(
                         stepped.add(dep)
         else:
             for node in frontier:
-                head, label = sentence.head_of[node]
-                if head != ROOT and label in step.labels:
-                    stepped.add(head)
+                if heads[node] != ROOT and labels[node] in step.labels:
+                    stepped.add(heads[node])
         frontier = (frontier | stepped) if step.optional else stepped
         if not frontier:
             break
@@ -88,29 +88,29 @@ def chunk_span(sentence: Sentence, index: int) -> tuple[int, int]:
     tag, falls back to the maximal run of noun-phrase-like POS tags
     around the token; a token that is not chunkable stands alone.
     """
-    tokens = sentence.tokens
-    n = len(tokens)
-    tag = tokens[index].chunk
+    chunks, pos = sentence.chunks, sentence.pos
+    n = len(chunks)
+    tag = chunks[index]
     if tag and len(tag) > 2 and tag[:2] in ("B-", "I-"):
         label = tag[2:]
         lo = index
-        while tokens[lo].chunk == f"I-{label}" and lo > 0:
-            prev = tokens[lo - 1].chunk
+        while chunks[lo] == f"I-{label}" and lo > 0:
+            prev = chunks[lo - 1]
             if prev in (f"B-{label}", f"I-{label}"):
                 lo -= 1
             else:
                 break
         hi = index
-        while hi + 1 < n and tokens[hi + 1].chunk == f"I-{label}":
+        while hi + 1 < n and chunks[hi + 1] == f"I-{label}":
             hi += 1
         return lo, hi + 1
-    if tokens[index].pos not in CHUNKABLE_POS:
+    if pos[index] not in CHUNKABLE_POS:
         return index, index + 1
     lo = index
-    while lo > 0 and tokens[lo - 1].pos in CHUNKABLE_POS:
+    while lo > 0 and pos[lo - 1] in CHUNKABLE_POS:
         lo -= 1
     hi = index
-    while hi + 1 < n and tokens[hi + 1].pos in CHUNKABLE_POS:
+    while hi + 1 < n and pos[hi + 1] in CHUNKABLE_POS:
         hi += 1
     return lo, hi + 1
 
@@ -127,7 +127,7 @@ def trigger_anchor(sentence: Sentence, span: tuple[int, int]) -> int:
     """The trigger span's syntactic head: leftmost token whose head is outside."""
     start, end = span
     for i in range(start, end):
-        head = sentence.head_of[i][0]
+        head = sentence.heads[i]
         if head == ROOT or not start <= head < end:
             return i
     return start
@@ -197,10 +197,11 @@ def _fill_slots(
     return events
 
 
-def _token_passes(pattern: TokenPattern, token, ner_type: str | None) -> bool:
+def _token_passes(pattern: TokenPattern, columns: Mapping[str, Sequence], i: int) -> bool:
+    """Whether token ``i`` passes ``pattern``, given its sentence's ``columns`` by rule field."""
     for branch in pattern.branches:
         for atom in branch:
-            value = ner_type if atom.field == "ner" else getattr(token, atom.field)
+            value = columns[atom.field][i]
             if (value is not None and value in atom.values) == atom.negated:
                 break
         else:
@@ -243,9 +244,10 @@ class _Matcher:
         """
         table = self._table
         starts: dict[int, list[int]] = {}
-        for i, tok in enumerate(sentence.tokens):
-            hits = table.get(index_term("surface", tok.surface), ()) + table.get(
-                index_term("lemma", tok.lemma), ()
+        lemmas = sentence.lemmas
+        for i, surface in enumerate(sentence.surfaces):
+            hits = table.get(index_term("surface", surface), ()) + table.get(
+                index_term("lemma", lemmas[i]), ()
             )
             for position in hits:
                 at = starts.setdefault(position, [])
@@ -254,8 +256,13 @@ class _Matcher:
         if not starts:
             return []
         mentions = list(ner(sentence))
-        tokens = sentence.tokens
-        ner_types = _entity_type_at(mentions, len(tokens))
+        n = len(sentence)
+        columns = {
+            "surface": sentence.surfaces,
+            "lemma": sentence.lemmas,
+            "pos": sentence.pos,
+            "ner": _entity_type_at(mentions, n),
+        }
         events: list[EventMention] = []
         for position in sorted(starts):
             rule = self._rules[position]
@@ -263,11 +270,8 @@ class _Matcher:
             spans = [
                 (i, i + width)
                 for i in starts[position]
-                if i + width <= len(tokens)
-                and all(
-                    _token_passes(rule.trigger[j], tokens[i + j], ner_types[i + j])
-                    for j in range(width)
-                )
+                if i + width <= n
+                and all(_token_passes(rule.trigger[j], columns, i + j) for j in range(width))
             ]
             events.extend(_fill_slots(rule, sentence, mentions, spans, doc_id))
         return events

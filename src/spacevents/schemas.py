@@ -232,7 +232,7 @@ def annotation_task_records(
                 "doc_id": cand.doc_id,
                 "event_type": cand.event_type,
                 "text": sent.text(),
-                "tokens": [tok.surface for tok in sent.tokens],
+                "tokens": list(sent.surfaces),
                 "suggestions": suggestions,
             }
         )

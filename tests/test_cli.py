@@ -161,8 +161,8 @@ def test_an_edited_token_outside_the_candidates_is_an_input_error(tmp_path, monk
     parsed = []
     original = documents.read_conllu
 
-    def recording(lines, keep=None, words=False):
-        for doc in original(lines, keep=keep, words=words):
+    def recording(lines, keep=None):
+        for doc in original(lines, keep=keep):
             parsed.append(doc.id)
             yield doc
 
@@ -244,8 +244,8 @@ def test_indexed_commands_build_only_the_candidate_sentences(tmp_path, monkeypat
 
         built = []
         for name in ("read_conllu", "read_jsonl"):
-            def recording(lines, keep=None, words=False, original=getattr(documents, name)):
-                for doc in original(lines, keep=keep, words=words):
+            def recording(lines, keep=None, original=getattr(documents, name)):
+                for doc in original(lines, keep=keep):
                     built.extend((doc.id, sent.id) for sent in doc.sentences)
                     yield doc
 
@@ -771,6 +771,30 @@ def _traced_peak(*argv) -> int:
         tracemalloc.stop()
     assert code == 0 and out, err
     return peak
+
+
+def test_corpus_commands_read_columns_and_build_no_token_or_edge(tmp_path, monkeypatch):
+    import spacevents.documents as documents
+
+    jsonl = tmp_path / "small.jsonl"
+    jsonl.write_text(serialize_jsonl_documents(load_small_corpus()), encoding="utf-8")
+    freed = []  # the type of each token or edge freed, however it was built
+    for cls in (documents.Token, documents.DepEdge):
+        def __del__(self, name=cls.__name__):
+            freed.append(name)
+
+        counted = type(cls.__name__, (cls,), {"__slots__": (), "__del__": __del__})
+        monkeypatch.setattr(documents, cls.__name__, counted)
+    for corpus in (CORPUS, str(jsonl)):
+        index = str(tmp_path / f"{Path(corpus).name}.idx")
+        for argv in (("index", "--index", index), ("extract",), ("extract", "--index", index),
+                     ("dedup",), ("validate",), ("ner",), ("ingest",)):
+            code, _, err = run(argv[0], "--corpus", corpus, *argv[1:])
+            assert code == 0, err
+    gc.collect()
+    assert freed == []
+    documents.Token(0, "a", "a", "X")  # built and freed at once: the count sees it
+    assert freed == ["Token"]
 
 
 def test_peak_memory_does_not_follow_corpus_size(tmp_path):

@@ -319,16 +319,14 @@ def test_a_filtered_parse_is_the_full_parse_restricted_to_what_it_keeps():
             assert list(READERS[fmt](_lines(text), keep)) == expected, (fmt, keep)
 
 
-def test_readers_take_keep_and_words_by_keyword():
+def test_readers_take_keep_by_keyword():
     docs = load_small_corpus()
     keep = {0: {"s1"}, 1: set()}
     for text, fmt in ((serialize_conllu(docs), "conllu"),
                       (serialize_jsonl_documents(docs), "jsonl")):
         read = READERS[fmt]
         assert list(read(_lines(text), keep=keep)) == list(read(_lines(text), keep))
-        words = list(read(_lines(text), keep, True))
-        assert list(read(_lines(text), keep=keep, words=True)) == words
-        assert [doc.id for doc, _ in read(lines=_lines(text), words=True)] == ["d1", "d2"]
+        assert [doc.id for doc in read(lines=_lines(text))] == ["d1", "d2"]
 
 
 def _conllu(*lines):
@@ -793,7 +791,7 @@ def _break_record(rng: random.Random, record: dict, kind: int) -> None:
         record[rng.choice(("collected_at", "split"))] = rng.choice(("2020-02-30", "nope", "dev"))
 
 
-def test_parsers_share_equal_tokens_and_edges_only():
+def test_parsers_share_equal_strings_within_one_call():
     rows = [("Sat", "sat", "PROPN", -1, "root"), ("flew", "fly", "VERB", 0, "dep")]
     variants = [rows, rows, [rows[0] + ("SPACECRAFT",), rows[1]],
                 [rows[0] + (None, "B-NP"), rows[1]], [rows[0], rows[1][:4] + ("obj",)],
@@ -805,39 +803,17 @@ def test_parsers_share_equal_tokens_and_edges_only():
         parsed = parse(text)
         assert parsed == docs
         s0, s1, *others = parsed[0].sentences
-        assert s0.tokens[0] is s1.tokens[0] and s0.edges[1] is s1.edges[1]
-        assert all(s.tokens[0] is not s0.tokens[0] for s in others[:2])
-        assert others[2].edges[1] is not s0.edges[1]
-        # strings: new tokens and edges share equal values, at any position
-        sat, moved_sat, moved_flew = others[3].tokens
-        assert moved_sat is not s0.tokens[0] and moved_sat.surface is s0.tokens[0].surface
-        assert moved_flew is not s0.tokens[1] and moved_flew.surface is s0.tokens[1].surface
-        assert sat.lemma is sat.surface is s0.tokens[0].lemma
-        assert moved_sat.pos is s0.tokens[0].pos and sat.pos is moved_flew.pos is s0.tokens[1].pos
-        assert others[3].edges[2] is not s0.edges[1]
-        assert others[3].edges[2].label is s0.edges[1].label
+        assert s1.surfaces[0] is s0.surfaces[0] and s1.labels[1] is s0.labels[1]
+        # equal strings are one object, at any position and in any column
+        moved = others[3]
+        assert moved.surfaces[1] is s0.surfaces[0] and moved.surfaces[2] is s0.surfaces[1]
+        assert moved.lemmas[0] is moved.surfaces[0] is s0.lemmas[0]
+        assert moved.pos[1] is s0.pos[0] and moved.pos[0] is moved.pos[2] is s0.pos[1]
+        assert moved.labels[2] is s0.labels[1]
         # a second parse call shares nothing with the first
         again = parse(text)
         assert again == parsed
-        assert again[0].sentences[0].tokens[0] is not s0.tokens[0]
-        assert again[0].sentences[0].tokens[0].surface is not s0.tokens[0].surface
-
-
-def test_a_parse_that_empties_the_token_table_equals_the_reference_parse(monkeypatch):
-    import spacevents.documents as documents
-
-    monkeypatch.setattr(documents, "_TOKENS_KEPT", 8)
-    docs = random_corpus(random.Random(4096), 12, entity_chance=0.3, dated=True)
-    for parse, reference, serialize in (
-        (parse_conllu, reference_parse_conllu, serialize_conllu),
-        (parse_jsonl_documents, reference_parse_jsonl_documents, serialize_jsonl_documents),
-    ):
-        text = serialize(docs)
-        parsed = parse(text)
-        assert parsed == reference(text) == docs
-        # equal tokens read after the table was emptied are new objects
-        tokens = [tok for doc in parsed for sent in doc.sentences for tok in sent.tokens]
-        assert len({id(tok) for tok in tokens}) > len(set(tokens))
+        assert again[0].sentences[0].surfaces[0] is not s0.surfaces[0]
 
 
 def _round_trip(obj):
@@ -848,9 +824,7 @@ def _round_trip(obj):
 
 
 def test_parsed_tokens_and_edges_match_ones_their_constructor_builds():
-    # the parsers build tokens and edges without __init__, so a post-init
-    # hook would be skipped, and a new field would be left unset
-    assert not hasattr(Token, "__post_init__") and not hasattr(DepEdge, "__post_init__")
+    # a parsed sentence builds its tokens and edges from its columns when they are first read
     checked = set()
     for docs in (load_small_corpus(),
                  random_corpus(random.Random("lean objects"), 20, entity_chance=0.3)):
@@ -884,15 +858,6 @@ def _without_line(outcome):
     return outcome if isinstance(outcome, list) else outcome[:2]
 
 
-def _as_words(outcome):
-    """A full parse's outcome as a words-mode read gives it: each document
-    without its sentences, paired with its surfaces, or the same exception."""
-    if not isinstance(outcome, list):
-        return outcome
-    return [(replace(doc, sentences=()), [t.surface for s in doc.sentences for t in s.tokens])
-            for doc in outcome]
-
-
 @pytest.mark.parametrize(
     "fmt, parse, reference, serialize, mutate",
     [
@@ -906,9 +871,6 @@ def test_parsers_agree_with_their_reference_on_mutated_corpora(
 ):
     # the first 250 corpora hold one fault each; the rest stack two or three,
     # which in JSONL all fall in one record, so the order of checks shows.
-    # Each also goes through the words-mode reader, which must refuse it
-    # alike or read the same documents and surfaces.
-    read = READERS[fmt]
     rng = random.Random(f"mutants/{fmt}")
     accepted = refused = stacked_refused = 0
     for n in range(750):
@@ -920,10 +882,7 @@ def test_parsers_agree_with_their_reference_on_mutated_corpora(
             text = text.replace("\n", "\r\n")
         source = text.splitlines(keepends=True) if n % 7 == 0 else text
         expected = _without_line(_outcome(reference, source))
-        full = _outcome(parse, source)
-        assert _without_line(full) == expected, text
-        words = _outcome(lambda source: list(read(_lines(source), words=True)), source)
-        assert words == _as_words(full), text
+        assert _without_line(_outcome(parse, source)) == expected, text
         if faults > 1:
             stacked_refused += not isinstance(expected, list)
         elif isinstance(expected, list):
@@ -970,13 +929,12 @@ def test_a_parse_builds_no_reference_cycles():
                  random_corpus(random.Random("no cycles"), 20, entity_chance=0.3, dated=True)):
         for text, fmt in ((serialize_conllu(docs), "conllu"),
                           (serialize_jsonl_documents(docs), "jsonl")):
-            for words in (False, True):
-                gc.collect()
-                gc.disable()
-                try:
-                    parsed = list(READERS[fmt](_lines(text), words=words))
-                    assert len(parsed) == len(docs)
-                    del parsed
-                    assert gc.collect() == 0, (fmt, words)
-                finally:
-                    gc.enable()
+            gc.collect()
+            gc.disable()
+            try:
+                parsed = list(READERS[fmt](_lines(text)))
+                assert len(parsed) == len(docs)
+                del parsed
+                assert gc.collect() == 0, fmt
+            finally:
+                gc.enable()

@@ -17,6 +17,7 @@ from spacevents import (
     traverse_path,
     trigger_anchor,
 )
+from spacevents.documents import sentence_issues
 from spacevents.errors import InputError
 from spacevents.index import index_term
 from spacevents.matching import _entity_type_at, _fill_slots, _tier_filter
@@ -198,6 +199,21 @@ def test_trigger_anchor_prefers_token_with_outside_head():
     # inside span (1, 3), token 1 heads to 2 (inside); token 2 is the root
     assert trigger_anchor(sent, (1, 3)) == 2
     assert trigger_anchor(sent, (0, 2)) == 0
+
+
+def test_trigger_anchor_of_a_span_whose_heads_loop_is_its_start():
+    # no parser builds this sentence: tokens 1 and 2 head each other
+    sent = make_sentence(
+        "s",
+        [
+            ("a", "a", "X", -1, "root"),
+            ("b", "b", "X", 2, "dep"),
+            ("c", "c", "X", 1, "dep"),
+        ],
+    )
+    assert sentence_issues(sent) == ["dependency cycle through token 1"]
+    assert trigger_anchor(sent, (1, 3)) == 1
+    assert trigger_anchor(sent, (0, 3)) == 0
 
 
 def test_trigger_negated_ner_atom_uses_mention_layer():
