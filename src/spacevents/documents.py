@@ -21,7 +21,8 @@ A parsed sentence is its columns: per token a surface, lemma, POS,
 generic NER label, chunk tag, head and edge label, each a tuple.  Its
 ``tokens`` and ``edges`` are built from them only when first read, and
 every reader in the package reads the columns instead.  Within one parse
-call, equal strings in the columns share one object.  ``Sentence(id,
+call, equal strings in a kept sentence's columns share one object, and
+``_sentence`` alone shares them.  ``Sentence(id,
 tokens, edges)`` takes any tokens and edges, however malformed, so that
 ``sentence_issues`` can explain them; its columns follow the rule of
 ``head_of``.
@@ -32,11 +33,13 @@ order (by dependent) so that equal sentences compare equal regardless of
 the order edges appeared in the input.
 
 The two parsers share one reader of document facts, ``_fact``, whose
-inverse ``_fact_texts`` serves both writers, and one sentence check,
-``_sentence``: a sentence's id must be new in its document, and its heads
-must pass ``_is_tree``, a single-pass test that builds no message; only a
-sentence that fails it is built from tokens and edges and goes to
-``sentence_issues``, which owns every structure message.  A refused
+inverse ``_fact_texts`` serves both writers, and one gate for sentences,
+``_sentence``: the readers hand it the columns they read, and it alone
+refuses a sentence or shares a kept one's strings.  A sentence's id must
+be new in its document, and its heads must pass ``_is_tree``, a
+single-pass test that builds no message; only a sentence that fails it,
+or whose JSONL tokens and edges give no columns, is built, once, and goes
+to ``sentence_issues``, which owns every structure message.  A refused
 sentence is reported at its first line, with its document.  ``json_lines``
 alone decides which lines of a JSON-lines file, here or of annotations,
 are records; ``json_value`` decodes each, and ``json_line`` spells each
@@ -155,7 +158,7 @@ class Sentence:
 
 
 def _parsed(sent_id: str, columns: tuple) -> Sentence:
-    """The sentence a parser read: ``columns`` in ``_COLUMNS`` order, each a tuple."""
+    """The sentence a parser read: ``columns`` in ``_COLUMNS`` order, each a tuple once kept."""
     sent = object.__new__(Sentence)
     sent.__dict__.update(zip(_COLUMNS, columns), id=sent_id)
     return sent
@@ -244,7 +247,7 @@ def _is_tree(heads: list[int]) -> bool:
 
     ``heads[i]`` is token ``i``'s head, ``ROOT`` or a token index; any
     other value fails.  True exactly when ``sentence_issues`` would find no
-    problem with the links, so a parser calls that only on False, to
+    problem with the links, so ``_sentence`` calls that only on False, to
     explain the failure.
     """
     n = len(heads)
@@ -351,31 +354,47 @@ def _fact_texts(doc: Document) -> Iterator[tuple[str, str]]:
         yield "split", doc.split
 
 
-def _sentence(sent_id, columns, seen, doc_id, line, parts=None) -> Sentence:
+def _shared(values, share) -> tuple:
+    """``values``, each string as the one object ``share`` (a ``dict.setdefault``) keeps for it.
+
+    Sharing keeps a batch's memory, and ``dedup``'s term vectors, from
+    holding one string per token.  A column of None and empty strings, such
+    as an absent NER layer, is kept as it is.  The tuple is built from a
+    list, so it is allocated at its size: one grown from an iterator is
+    allocated at a guessed size and resized, and a parse would leave
+    thousands of them in CPython's tuple free lists.
+    """
+    if not any(values):
+        return tuple(values)
+    return tuple(list(map(share, values, values)))
+
+
+def _sentence(sent_id, columns, seen, doc_id, line, share, parts=None) -> Sentence:
     """The sentence a reader found at ``line`` of document ``doc_id``, once it is checked.
 
-    Its id must be new among the ids in ``seen``, to which it is then added.
-    ``columns`` are its columns in ``_COLUMNS`` order, and it is built from
-    them when ``parts`` is None and its heads pass ``_is_tree``.  Otherwise
-    it is built from tokens and edges, ``parts`` or else the ones the
-    columns give, and ``sentence_issues`` explains it.
+    This is the one gate between a reader and a sentence: it alone refuses
+    one, and it alone shares a kept sentence's strings.  The id must be new
+    among the ids in ``seen``, to which it is then added.  ``columns`` are
+    the columns read, in ``_COLUMNS`` order.  With ``parts``, tokens and
+    edges as read, or heads that fail ``_is_tree``, the sentence is built
+    once, from ``parts`` or its columns, and refused with what
+    ``sentence_issues`` finds.  Otherwise each string column is shared
+    through ``share``, the parse call's ``dict.setdefault``.
     """
     if sent_id in seen:
         raise ParseError(f"duplicate sentence id {sent_id!r} in document {doc_id!r}", line=line)
-    if parts is None and _is_tree(columns[5]):
-        sent = _parsed(sent_id, columns)
-    else:
-        if parts is None:
-            built = _parsed(sent_id, columns)
-            parts = built.tokens, built.edges
-        sent = Sentence(sent_id, *parts)
-        problems = sentence_issues(sent)
-        if problems:
-            raise StructureError(
-                f"sentence {sent_id!r} in document {doc_id!r}: " + "; ".join(problems), line=line
-            )
+    if parts is not None or not _is_tree(columns[5]):
+        sent = _parsed(sent_id, columns) if parts is None else Sentence(sent_id, *parts)
+        raise StructureError(
+            f"sentence {sent_id!r} in document {doc_id!r}: " + "; ".join(sentence_issues(sent)),
+            line=line,
+        )
     seen.add(sent_id)
-    return sent
+    surfaces, lemmas, pos, ners, chunks, heads, labels = columns
+    return _parsed(sent_id, (
+        _shared(surfaces, share), _shared(lemmas, share), _shared(pos, share),
+        _shared(ners, share), _shared(chunks, share), tuple(heads), _shared(labels, share),
+    ))
 
 
 # Documents a parser builds at a time before it yields them.
@@ -428,40 +447,23 @@ _DECIMAL = {str(i): i for i in range(1024)}
 class _Misc(dict):
     """MISC text -> its ``Ner`` and ``Chunk`` values, each text split once per parse call."""
 
-    def __init__(self, share):
-        self._share = share
-
     def __missing__(self, misc: str) -> tuple:
         ner = chunk = None
         for part in misc.split("|"):
             key, _, value = part.partition("=")
             if key == "Ner":
-                ner = self._share(value, value)
+                ner = value
             elif key == "Chunk":
-                chunk = self._share(value, value)
+                chunk = value
         self[misc] = pair = (ner, chunk)
         return pair
 
 
-def _shared(values, share) -> tuple:
-    """``values``, each string as the one object ``share`` (a ``dict.setdefault``) keeps for it.
-
-    A column of None and empty strings, such as an absent NER layer, is
-    kept as it is.  The tuple is built from a list, so it is allocated at
-    its size: one grown from an iterator is allocated at a guessed size and
-    resized, and a parse would leave thousands of them in CPython's tuple
-    free lists.
-    """
-    if not any(values):
-        return tuple(values)
-    return tuple(list(map(share, values, values)))
-
-
-def _or(values: tuple, fallbacks: tuple, share) -> tuple:
-    """``_shared`` of each of ``values`` or, where it is ``_``, the fallback at its position."""
+def _or(values: tuple, fallbacks: tuple):
+    """``values``, each ``_`` among them replaced by the fallback at its position."""
     if "_" in values:
-        values = [f if v == "_" else v for v, f in zip(values, fallbacks)]
-    return _shared(values, share)
+        return [f if v == "_" else v for v, f in zip(values, fallbacks)]
+    return values
 
 
 def parse_conllu(source) -> list[Document]:
@@ -500,7 +502,7 @@ def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
     heads: list[int] = []
     skip = False  # the current sentence is left out
     share = {}.setdefault
-    misc_fields = _Misc(share)
+    misc_fields = _Misc()
 
     def close_sentence() -> None:
         nonlocal sent_id, sent_line, rows, heads
@@ -513,13 +515,9 @@ def read_conllu(lines: Iterable[str], keep=None) -> Iterator[Document]:
         if not rows:
             raise ParseError(f"sentence {sent_id!r} has no tokens", line=sent_line)
         _, forms, lemmas, upos, xpos, _, _, labels, _, miscs = zip(*rows)
-        surfaces = _shared(forms, share)
         ners, chunks = zip(*list(map(misc_fields.__getitem__, miscs)))
-        columns = (
-            surfaces, _or(lemmas, surfaces, share), _or(upos, xpos, share), ners, chunks,
-            tuple(heads), _shared(labels, share),
-        )
-        sentences.append(_sentence(sent_id, columns, sent_ids, doc_meta["id"], sent_line))
+        columns = forms, _or(lemmas, forms), _or(upos, xpos), ners, chunks, heads, labels
+        sentences.append(_sentence(sent_id, columns, sent_ids, doc_meta["id"], sent_line, share))
         sent_id, sent_line, rows, heads = None, 0, [], []
 
     def close_doc():
@@ -668,8 +666,8 @@ def _read_sentences(raw_sentences: list, line: int, doc_id: str, share, wanted) 
     Each value is checked once, in record order, for its exact JSON type
     (``type(x) is``), and a message is built only for the value refused.
     With ``wanted``, a set of ids, a sentence whose id is not in it is
-    passed over once its object and id are checked.  ``share`` is the
-    parse call's ``dict.setdefault`` for strings.
+    passed over once its object and id are checked.  ``share``, the parse
+    call's ``dict.setdefault``, goes to ``_sentence``.
     An empty surface, or edges that do not give each token one head, are
     not refused on sight: they keep the sentence from its columns, so
     ``_sentence`` builds it from its tokens and edges as read, and
@@ -736,10 +734,7 @@ def _read_sentences(raw_sentences: list, line: int, doc_id: str, share, wanted) 
                 ok = False
         if ok:
             surfaces, lemmas, pos, ners, chunks = zip(*rows) if rows else ((),) * 5
-            columns = (
-                _shared(surfaces, share), _shared(lemmas, share), _shared(pos, share),
-                _shared(ners, share), _shared(chunks, share), tuple(heads), _shared(labels, share),
-            )
+            columns = surfaces, lemmas, pos, ners, chunks, heads, labels
             parts = None
         else:  # built as read, for sentence_issues
             columns = ()
@@ -747,7 +742,7 @@ def _read_sentences(raw_sentences: list, line: int, doc_id: str, share, wanted) 
                 [Token(j, *row) for j, row in enumerate(rows)],
                 [DepEdge(edge["head"], edge["dep"], edge["label"]) for edge in raw_edges],
             )
-        sentences.append(_sentence(sent_id, columns, seen, doc_id, line, parts))
+        sentences.append(_sentence(sent_id, columns, seen, doc_id, line, share, parts))
     return sentences
 
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .documents import SPLITS, json_lines, json_value, text_lines
 from .errors import InputError, SchemaError
-from .schemas import GENERIC_SLOTS, SCHEMAS
+from .schemas import ANNOTATION_HEADER, GENERIC_SLOTS, SCHEMAS
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,12 +192,17 @@ def read_annotations(source) -> list[SentenceAnnotation]:
     ``doc_id``, ``split`` and either a non-negative integer ``n_tokens``
     or a ``tokens`` list (needed for corpus statistics).
     Spans within one record must not overlap, nor end past that token count.
+    The header ``export-annotation`` writes first is refused by name.
     """
     records: list[SentenceAnnotation] = []
     for line_no, line in json_lines(text_lines(source)):
         obj = json_value(line, line_no)
         if not isinstance(obj, dict):
             raise SchemaError("record must be an object", line=line_no)
+        if obj == ANNOTATION_HEADER:
+            raise SchemaError(
+                "export-annotation's task header is not an annotation record", line=line_no
+            )
         for key in ("sentence_id", "event_type"):
             if not isinstance(obj.get(key), str):
                 raise SchemaError(f"missing or non-string {key}", line=line_no)

@@ -924,6 +924,28 @@ def test_export_annotation_writes_header_then_tasks():
     ]
 
 
+def test_score_stats_and_errors_refuse_the_annotation_task_header_by_name(tmp_path):
+    _, out, _ = run("export-annotation", "--corpus", CORPUS, "--workers", "1",
+                    "--sample", "LAUNCH=0.5", "--seed", "7")
+    tasks, filled = tmp_path / "tasks.jsonl", tmp_path / "filled.jsonl"
+    tasks.write_text(out, encoding="utf-8")
+    # without the header, and with each task's suggestions as its spans, the tasks are read
+    records = [dict(task, spans=task["suggestions"]) for task in lines_of(out)[1:]]
+    filled.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    refused = "error: line 1: export-annotation's task header is not an annotation record\n"
+
+    def commands(path):
+        return (("score", "--gold", str(path), "--pred", str(path)),
+                ("stats", "--annotations", str(path)),
+                ("errors", "--gold", str(path), "--pred", str(path)))
+
+    for argv in commands(tasks):
+        assert run(*argv) == (1, "", refused), argv
+    for argv in commands(filled):
+        code, table, err = run(*argv)
+        assert code == 0 and table and err == "", argv
+
+
 # ---------------------------------------------------------------------------
 # scoring commands
 

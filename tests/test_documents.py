@@ -5,6 +5,7 @@ import random
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date
+from itertools import product
 
 import pytest
 
@@ -21,6 +22,7 @@ from spacevents import (
     serialize_jsonl_documents,
 )
 from spacevents.documents import (
+    _is_tree,
     _lines,
     document_to_dict,
     read_conllu,
@@ -634,6 +636,42 @@ def test_sentence_issues_structural_catalogue():
     assert sentence_issues(misplaced) == [
         "token at position 0 carries index 1", "token at position 1 carries index 0"
     ]
+
+
+def _with_heads(heads) -> Sentence:
+    """A sentence whose token ``i`` has the one edge ``heads[i] -> i``."""
+    tokens = tuple(Token(i, f"w{i}", f"w{i}", "X") for i in range(len(heads)))
+    return Sentence("s", tokens, [DepEdge(head, i, "dep") for i, head in enumerate(heads)])
+
+
+def test_is_tree_accepts_exactly_the_heads_sentence_issues_finds_no_fault_in():
+    # the parsers explain a sentence with sentence_issues only when _is_tree fails;
+    # every head list of up to five tokens, each head from -2 to one past the last
+    # token, so heads that point right, out of range and round cycles all occur
+    lists = 0
+    for n in range(6):
+        for heads in product(range(ROOT - 1, n + 1), repeat=n):
+            assert _is_tree(list(heads)) == (not sentence_issues(_with_heads(heads))), heads
+            lists += 1
+    assert lists == 35_415
+
+
+def test_both_readers_refuse_a_parse_through_one_gate_with_one_message():
+    # every in-range head list of one to four tokens, as a one-sentence document
+    accepted = refused = 0
+    for n in range(1, 5):
+        for heads in product(range(ROOT, n), repeat=n):
+            docs = [Document("d", (_with_heads(heads),))]
+            conllu = _outcome(parse_conllu, serialize_conllu(docs))
+            jsonl = _outcome(parse_jsonl_documents, serialize_jsonl_documents(docs))
+            if _is_tree(list(heads)):
+                assert conllu == jsonl == docs, heads
+                accepted += 1
+            else:
+                assert conllu[0] is jsonl[0] is StructureError, heads
+                assert conllu[1].split(": ", 1)[1] == jsonl[1].split(": ", 1)[1], heads
+                refused += 1
+    assert (accepted, refused) == (76, 624)
 
 
 def test_splits_constant():
