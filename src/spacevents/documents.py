@@ -18,14 +18,17 @@ in it, a parser builds only those sentences of those documents, so an
 index can name them without knowing where they lie.
 
 A parsed sentence is its columns: per token a surface, lemma, POS,
-generic NER label, chunk tag, head and edge label, each a tuple.  Its
-``tokens`` and ``edges`` are built from them only when first read, and
-every reader in the package reads the columns instead.  Within one parse
+generic NER label, chunk tag, head and edge label, each a tuple.  The
+``heads`` and ``labels`` columns are its dependency tree, and the only
+copy of it: token ``i`` hangs from ``heads[i]`` by ``labels[i]``, and its
+dependents are the ``d`` with ``heads[d] == i``.  Its ``tokens`` and
+``edges`` are built from the columns only when first read, and every
+reader in the package reads the columns instead.  Within one parse
 call, equal strings in a kept sentence's columns share one object, and
-``_sentence`` alone shares them.  ``Sentence(id,
-tokens, edges)`` takes any tokens and edges, however malformed, so that
-``sentence_issues`` can explain them; its columns follow the rule of
-``head_of``.
+``_sentence`` alone shares them.  ``Sentence(id, tokens, edges)`` takes
+any tokens and edges, however malformed, so that ``sentence_issues`` can
+explain them; a token's head and label in its columns come from the last
+edge to it.
 
 Every loaded sentence is checked for structural sanity: exactly one edge
 per token, exactly one root, no cycles.  Edges are kept in a canonical
@@ -99,14 +102,15 @@ class Sentence:
     """A sentence: its id and, per token, its columns.
 
     ``surfaces``, ``lemmas``, ``pos``, ``ners`` (generic NER, or None) and
-    ``chunks`` (or None) hold the token fields, ``heads`` each token's
-    head index (``ROOT`` for the root) and ``labels`` its edge label.
-    ``tokens`` and ``edges``, the dataclass fields, are built from the
-    columns when first read.  A sentence built from tokens and edges
-    keeps them, and its columns follow ``head_of``'s rule: a token's head
-    and label come from the last edge to it, ``ROOT`` and ``""`` without
-    one.  Equality, hashing and ``repr`` are the dataclass's, over ``id``,
-    ``tokens`` and ``edges``.
+    ``chunks`` (or None) hold the token fields.  ``heads`` and ``labels``
+    are the tree: each token's head index (``ROOT`` for the root) and its
+    edge label, so the dependents of token ``i`` are the ``d`` with
+    ``heads[d] == i``.  ``tokens`` and ``edges``, the dataclass fields,
+    are built from the columns when first read.  A sentence built from
+    tokens and edges keeps them, and a token's head and label come from
+    the last edge to it, ``ROOT`` and ``""`` without one.  Equality,
+    hashing and ``repr`` are the dataclass's, over ``id``, ``tokens`` and
+    ``edges``.
     """
 
     id: str
@@ -141,20 +145,6 @@ class Sentence:
 
     def text(self) -> str:
         return " ".join(self.surfaces)
-
-    @cached_property
-    def head_of(self) -> tuple[tuple[int, str], ...]:
-        """Per token: (head index or ROOT, edge label)."""
-        return tuple(zip(self.heads, self.labels))
-
-    @cached_property
-    def dependents_of(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        """Per token: ((dependent index, edge label), ...) for outgoing edges."""
-        out: list[list[tuple[int, str]]] = [[] for _ in self.heads]
-        for dependent, (head, label) in enumerate(zip(self.heads, self.labels)):
-            if 0 <= head < len(out):
-                out[head].append((dependent, label))
-        return tuple([tuple(deps) for deps in out])
 
 
 def _parsed(sent_id: str, columns: tuple) -> Sentence:

@@ -9,12 +9,14 @@ whole typed mention containing the reached token (entity fillers) or
 the maximal noun-phrase chunk around it (chunk fillers), never the bare
 token, so "the Hubble Space Telescope" comes out in one piece.
 
-Path traversal works on frontier sets.  Each step maps the current
-frontier to the set of tokens reachable over one matching edge
-(``out`` follows head-to-dependent edges, ``in`` the dependent-to-head
-edge); an optional step keeps the unstepped frontier as well.  The
-start token is dropped from the final frontier, so an all-optional
-path cannot fill a slot with the trigger itself.
+Path traversal works on frontier sets over the sentence's ``heads`` and
+``labels`` columns, its only copy of the tree.  Each step maps the
+current frontier to the set of tokens reachable over one matching edge:
+an ``out`` step scans the heads column for the tokens whose head is in
+the frontier, an ``in`` step takes each frontier token's own head; an
+optional step keeps the unstepped frontier as well.  The start token is
+dropped from the final frontier, so an all-optional path cannot fill a
+slot with the trigger itself.
 """
 
 from __future__ import annotations
@@ -65,10 +67,9 @@ def traverse_path(
     for step in path:
         stepped: set[int] = set()
         if step.direction == "out":
-            for node in frontier:
-                for dep, label in sentence.dependents_of[node]:
-                    if label in step.labels:
-                        stepped.add(dep)
+            for dep, head in enumerate(heads):
+                if head in frontier and labels[dep] in step.labels:
+                    stepped.add(dep)
         else:
             for node in frontier:
                 if heads[node] != ROOT and labels[node] in step.labels:

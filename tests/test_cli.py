@@ -471,8 +471,8 @@ def _with_cycle(docs):
     """
     for d, doc in enumerate(docs):
         for s, sent in enumerate(doc.sentences):
-            for token, (head, _) in enumerate(sent.head_of):
-                if head != ROOT and sent.head_of[head][0] != ROOT:
+            for token, head in enumerate(sent.heads):
+                if head != ROOT and sent.heads[head] != ROOT:
                     edges = [
                         replace(edge, head=token) if edge.dependent == head else edge
                         for edge in sent.edges
@@ -1471,6 +1471,10 @@ def test_every_public_name_resolves_on_first_lookup():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], [], False]
+
+
+def test_dir_lists_every_public_name_and_the_version():
+    assert {*spacevents.__all__, "__version__"} <= set(dir(spacevents))
 
 
 def test_python_dash_m_runs_the_cli():

@@ -66,11 +66,13 @@ def test_parse_small_corpus():
 def test_adjacency_views():
     s1 = load_small_corpus()[0].sentences[0]
     # "launched" is the root; "NASA" is its nsubj dependent
-    assert s1.head_of[1] == (ROOT, "root")
-    assert s1.head_of[0] == (1, "nsubj")
-    assert (0, "nsubj") in s1.dependents_of[1]
-    assert (5, "dobj") in s1.dependents_of[1]
-    assert s1.dependents_of[0] == ()
+    assert (s1.heads[1], s1.labels[1]) == (ROOT, "root")
+    assert (s1.heads[0], s1.labels[0]) == (1, "nsubj")
+    dependents = [[(d, s1.labels[d]) for d, head in enumerate(s1.heads) if head == i]
+                  for i in range(len(s1))]
+    assert (0, "nsubj") in dependents[1]
+    assert (5, "dobj") in dependents[1]
+    assert dependents[0] == []
 
 
 def test_sentence_text():

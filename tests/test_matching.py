@@ -1,10 +1,15 @@
 import random
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 
 from spacevents import (
+    ROOT,
+    DepEdge,
+    DepPathStep,
     Mention,
+    Sentence,
     build_index,
     chunk_span,
     compile_gazetteer,
@@ -17,18 +22,20 @@ from spacevents import (
     traverse_path,
     trigger_anchor,
 )
-from spacevents.documents import sentence_issues
+from spacevents.documents import _COLUMNS, parse_conllu, sentence_issues, serialize_conllu
 from spacevents.errors import InputError
 from spacevents.index import index_term
 from spacevents.matching import _entity_type_at, _fill_slots, _tier_filter
 
 from helpers import (
+    DEP_LABELS,
     TRIGGER_WORDS,
     find_trigger_spans,
     load_small_corpus,
     make_sentence,
     random_corpus,
     random_rule,
+    random_sentence,
     word_vocab,
 )
 
@@ -98,6 +105,58 @@ def test_traverse_start_out_of_range():
         traverse_path(s1, -1, _slot_rule(">dobj").slots[0].path)
     with pytest.raises(InputError, match="out of range"):
         traverse_path(s1, len(s1), _slot_rule(">dobj").slots[0].path)
+
+
+def _relabelled(rng, sentence):
+    """``sentence`` with its token positions shuffled, so heads point either way."""
+    position = list(range(len(sentence)))
+    rng.shuffle(position)
+    tokens = sorted(
+        (replace(token, index=position[token.index]) for token in sentence.tokens),
+        key=lambda token: token.index,
+    )
+    edges = [
+        DepEdge(ROOT if e.head == ROOT else position[e.head], position[e.dependent], e.label)
+        for e in sentence.edges
+    ]
+    return Sentence(sentence.id, tokens, edges)
+
+
+def _reference_traverse(sentence, start, path):
+    """``traverse_path`` over the sentence's ``DepEdge`` objects, one step at a time."""
+    frontier = {start}
+    for step in path:
+        if step.direction == "out":
+            stepped = {e.dependent for e in sentence.edges
+                       if e.head in frontier and e.label in step.labels}
+        else:
+            stepped = {e.head for e in sentence.edges
+                       if e.dependent in frontier and e.head != ROOT and e.label in step.labels}
+        frontier = frontier | stepped if step.optional else stepped
+    return frontier - {start}
+
+
+def test_traverse_path_equals_a_walk_over_the_edges_on_random_trees():
+    rng = random.Random(29)
+    vocab = word_vocab(40)
+    labels = (*DEP_LABELS, "root")
+    reached = 0
+    for case in range(2400):
+        if case % 4 == 0:
+            sentence = random_sentence(rng, f"s{case}", vocab, min_len=1, max_len=14)
+            if case % 8 == 0:
+                sentence = _relabelled(rng, sentence)
+        path = [
+            DepPathStep(rng.choice(("out", "in")),
+                        tuple(rng.sample(labels, rng.randint(1, len(labels)))),
+                        optional=rng.random() < 0.3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        start = rng.randrange(len(sentence))
+        expected = _reference_traverse(sentence, start, path)
+        assert traverse_path(sentence, start, path) == expected, (sentence, start, path)
+        reached += bool(expected)
+    assert reached > 500  # the walks reach tokens, not only empty frontiers
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +541,19 @@ def test_extract_equivalences_on_random_corpora():
         full,
         key=lambda ev: (ev.doc_id, ev.sentence_id, ev.rule_name, ev.trigger),
     )
+
+
+def test_matching_leaves_no_state_on_the_sentences_it_visits():
+    rng = random.Random(43)
+    vocab = word_vocab(50) + [w for w, _, _ in TRIGGER_WORDS]
+    corpus = random_corpus(rng, 30, vocab=vocab, trigger_chance=0.2, entity_chance=0.2)
+    rules, ner = _reference_rules(), _reference_ner()
+    for docs in (load_small_corpus(), parse_conllu(serialize_conllu(corpus))):
+        assert extract_events(docs, rules, ner=ner)
+        assert extract_events(docs, rules, index=build_index(docs), ner=ner)
+        for doc in docs:
+            for sent in doc.sentences:
+                assert set(vars(sent)) == {"id", *_COLUMNS}, (doc.id, sent.id)
 
 
 def _reference_extract(docs, rules, ner):
